@@ -146,7 +146,7 @@ class PowerAwareClient:
         return False
 
     def _on_schedule_packet(self, packet: Packet) -> None:
-        schedule = Schedule.from_meta(packet.meta)
+        schedule: Schedule = packet.meta["schedule"]
         arrival = self.sim.now
         self.schedules_heard += 1
         self.compensator.observe_arrival(schedule, arrival)

@@ -267,9 +267,13 @@ class TransparentProxy(Node):
     # -- schedule broadcast -----------------------------------------------------
 
     def broadcast_schedule(self, schedule: Schedule) -> None:
-        """Send the schedule as a UDP broadcast (via the AP)."""
+        """Send the schedule as a UDP broadcast (via the AP).
+
+        The packet carries the frozen schedule itself: every client
+        that hears the broadcast reads this one object.
+        """
         self._schedule_socket.broadcast(
-            schedule.wire_payload, SCHEDULE_PORT, meta=schedule.as_meta()
+            schedule.wire_payload, SCHEDULE_PORT, meta={"schedule": schedule}
         )
         self.obs.event(
             self.sim.now, "proxy.schedule",

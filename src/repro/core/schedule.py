@@ -10,12 +10,20 @@ All times inside a schedule are proxy-clock timestamps; power-aware
 clients never trust them absolutely — they anchor on the schedule's
 *arrival* time and use only the relative offsets (see
 :mod:`repro.core.delay_comp`).
+
+:class:`Schedule` is the one schedule type from proxy to client, in
+the simulator (the frozen object rides on the broadcast packet) and in
+the live runtime. :meth:`Schedule.to_json`/:meth:`Schedule.from_json`
+are its one JSON codec, used only where a schedule crosses a process
+boundary: live control datagrams (:mod:`repro.runtime.wire`) and saved
+captures (:mod:`repro.net.capture_io`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.errors import SchedulingError
 
@@ -31,6 +39,8 @@ SLOT_ENTRY_BYTES = 16
 class BurstSlot:
     """One client's reservation inside a burst interval."""
 
+    #: The client's address in the simulator; the client id in the
+    #: live runtime.
     client_ip: str
     rendezvous: float  # absolute proxy time the burst starts (RP_i)
     duration: float  # seconds reserved for this client's burst
@@ -94,45 +104,100 @@ class Schedule:
                 return slot
         return None
 
-    def as_meta(self) -> dict:
-        """Serialize into packet metadata (the DES wire format)."""
+    def to_json(self) -> dict[str, Any]:
+        """The schedule as a JSON-ready object (:meth:`from_json` inverts it)."""
         return {
-            "schedule": {
-                "seq": self.seq,
-                "srp": self.srp,
-                "next_srp": self.next_srp,
-                "repeats_next": self.repeats_next,
-                "slots": [
-                    {
-                        "client_ip": slot.client_ip,
-                        "rendezvous": slot.rendezvous,
-                        "duration": slot.duration,
-                        "bytes_allotted": slot.bytes_allotted,
-                    }
-                    for slot in self.slots
-                ],
-            }
+            "seq": self.seq,
+            "srp": self.srp,
+            "next_srp": self.next_srp,
+            "repeats_next": self.repeats_next,
+            "slots": [
+                {
+                    "client_ip": slot.client_ip,
+                    "rendezvous": slot.rendezvous,
+                    "duration": slot.duration,
+                    "bytes_allotted": slot.bytes_allotted,
+                }
+                for slot in self.slots
+            ],
         }
 
     @classmethod
-    def from_meta(cls, meta: dict) -> "Schedule":
-        """Parse a schedule out of packet metadata."""
-        try:
-            raw = meta["schedule"]
-            return cls(
-                seq=raw["seq"],
-                srp=raw["srp"],
-                next_srp=raw["next_srp"],
-                repeats_next=raw.get("repeats_next", False),
-                slots=tuple(
-                    BurstSlot(
-                        client_ip=s["client_ip"],
-                        rendezvous=s["rendezvous"],
-                        duration=s["duration"],
-                        bytes_allotted=s["bytes_allotted"],
-                    )
-                    for s in raw["slots"]
-                ),
+    def from_json(cls, raw: Any) -> "Schedule":
+        """Decode a parsed JSON object into a validated schedule.
+
+        Every failure mode — the wrong JSON shape, missing or mistyped
+        fields, non-finite times, and anything the schedule's own
+        validation refuses (overlapping slots, a slot before the SRP,
+        ``next_srp <= srp``) — raises :class:`SchedulingError`. A
+        returned schedule is always fully validated; there is no partial
+        decode. Missing ``slots`` and ``repeats_next`` default to empty
+        and false. Keys the codec does not know are ignored.
+        """
+        if not isinstance(raw, dict):
+            raise SchedulingError(
+                f"schedule must be a JSON object, got {type(raw).__name__}"
             )
-        except (KeyError, TypeError) as exc:
-            raise SchedulingError(f"malformed schedule metadata: {exc}") from exc
+        slots_raw = raw.get("slots", [])
+        if not isinstance(slots_raw, list):
+            raise SchedulingError(
+                f"field 'slots' must be a list, got {type(slots_raw).__name__}"
+            )
+        slots = []
+        for entry in slots_raw:
+            if not isinstance(entry, dict):
+                raise SchedulingError(
+                    f"slot must be an object, got {type(entry).__name__}"
+                )
+            slots.append(BurstSlot(
+                client_ip=json_text(entry, "client_ip"),
+                rendezvous=json_number(entry, "rendezvous"),
+                duration=json_number(entry, "duration"),
+                bytes_allotted=json_count(entry, "bytes_allotted"),
+            ))
+        repeats_next = raw.get("repeats_next", False)
+        if not isinstance(repeats_next, bool):
+            raise SchedulingError(
+                f"field 'repeats_next' must be a bool, got {repeats_next!r}"
+            )
+        return cls(
+            seq=json_count(raw, "seq"),
+            srp=json_number(raw, "srp"),
+            next_srp=json_number(raw, "next_srp"),
+            slots=tuple(slots),
+            repeats_next=repeats_next,
+        )
+
+
+# -- JSON field validators (shared with the live control datagrams) ----------
+
+
+def json_number(raw: dict[str, Any], key: str) -> float:
+    """A required finite numeric field."""
+    value = raw.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchedulingError(f"field {key!r} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise SchedulingError(f"field {key!r} is not finite: {value!r}")
+    return value
+
+
+def json_count(raw: dict[str, Any], key: str) -> int:
+    """A required non-negative integer field."""
+    value = raw.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchedulingError(f"field {key!r} must be an int, got {value!r}")
+    if value < 0:
+        raise SchedulingError(f"field {key!r} must be >= 0")
+    return value
+
+
+def json_text(raw: dict[str, Any], key: str) -> str:
+    """A required non-empty string field."""
+    value = raw.get(key)
+    if not isinstance(value, str) or not value:
+        raise SchedulingError(
+            f"field {key!r} must be a non-empty string, got {value!r}"
+        )
+    return value

@@ -24,7 +24,12 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.core.bandwidth_model import LinearCostModel
 from repro.core.policy import ClientView, PaperDynamicPolicy, SchedulingPolicy
-from repro.core.schedule import BurstSlot, Schedule
+from repro.core.schedule import (
+    SCHEDULE_HEADER_BYTES,
+    SLOT_ENTRY_BYTES,
+    BurstSlot,
+    Schedule,
+)
 from repro.errors import SchedulingError
 from repro.obs.metrics import BYTES_BUCKETS, RATIO_BUCKETS, SECONDS_BUCKETS
 from repro.sim.core import Event
@@ -188,7 +193,7 @@ class DynamicScheduler:
             pending = pending[rotation:] + pending[:rotation]
 
         schedule_cost = self.cost_model.packet_cost(
-            24 + 16 * len(pending)  # schedule message payload
+            SCHEDULE_HEADER_BYTES + SLOT_ENTRY_BYTES * len(pending)
         )
         lead = schedule_cost + self.schedule_guard_s
         if self.is_variable:

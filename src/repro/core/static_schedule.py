@@ -15,10 +15,11 @@ of roughly 10 %, 33 % and 56 % of the interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.core.bandwidth_model import LinearCostModel
+from repro.core.schedule import SCHEDULE_HEADER_BYTES, SLOT_ENTRY_BYTES
 from repro.core.txguard import TransmitWakeGuard
 from repro.errors import SchedulingError
 from repro.net.node import Node
@@ -70,43 +71,6 @@ class StaticLayout:
             if slot.client_ip == client_ip:
                 return slot
         return None
-
-    def as_meta(self) -> dict:
-        """Serialize into packet metadata (the DES wire format)."""
-        return {
-            "static_layout": {
-                "interval": self.interval,
-                "tcp_slot_s": self.tcp_slot_s,
-                "tcp_clients": list(self.tcp_clients),
-                "epoch": self.epoch,
-                "slots": [
-                    {
-                        "client_ip": s.client_ip,
-                        "offset": s.offset,
-                        "duration": s.duration,
-                    }
-                    for s in self.slots
-                ],
-            }
-        }
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "StaticLayout":
-        """Parse a layout out of packet metadata."""
-        try:
-            raw = meta["static_layout"]
-            return cls(
-                interval=raw["interval"],
-                tcp_slot_s=raw["tcp_slot_s"],
-                tcp_clients=tuple(raw["tcp_clients"]),
-                epoch=raw["epoch"],
-                slots=tuple(
-                    StaticSlot(s["client_ip"], s["offset"], s["duration"])
-                    for s in raw["slots"]
-                ),
-            )
-        except (KeyError, TypeError) as exc:
-            raise SchedulingError(f"malformed static layout: {exc}") from exc
 
 
 def build_layout(
@@ -162,22 +126,16 @@ class StaticScheduler:
         """The proxy-side process: announce once, then serve every interval."""
         sim = self.proxy.sim
         layout = self.layout
-        payload = 24 + 16 * len(layout.slots)
+        payload = SCHEDULE_HEADER_BYTES + SLOT_ENTRY_BYTES * len(layout.slots)
         self._announce_socket.broadcast(
-            payload, STATIC_LAYOUT_PORT, meta=layout.as_meta()
+            payload, STATIC_LAYOUT_PORT, meta={"static_layout": layout}
         )
         # Interval 0 starts one interval after the announcement.
         epoch = sim.now + layout.interval
-        self.layout = StaticLayout(
-            interval=layout.interval,
-            tcp_slot_s=layout.tcp_slot_s,
-            tcp_clients=layout.tcp_clients,
-            slots=layout.slots,
-            epoch=epoch,
-        )
+        self.layout = replace(layout, epoch=epoch)
         # Re-announce with the fixed epoch so clients can anchor to it.
         self._announce_socket.broadcast(
-            payload, STATIC_LAYOUT_PORT, meta=self.layout.as_meta()
+            payload, STATIC_LAYOUT_PORT, meta={"static_layout": self.layout}
         )
         while True:
             start = epoch + self.intervals_run * layout.interval
@@ -298,7 +256,7 @@ class StaticClient:
         return False
 
     def _on_layout(self, packet: Packet) -> None:
-        self._layout = StaticLayout.from_meta(packet.meta)
+        self._layout = packet.meta["static_layout"]
         # Anchor on arrival: epoch is a proxy timestamp, but the offset
         # between broadcast time and arrival is small and constant-ish.
         self._layout_anchor = self._layout.epoch

@@ -57,14 +57,13 @@ class ReplayResult:
 
 def _rebuild_packet(frame: FrameRecord) -> Packet:
     """Reconstruct enough of a packet for the client daemon's logic."""
-    meta = dict(frame.schedule_meta) if frame.schedule_meta else {}
     return Packet(
         proto=frame.proto,
         src=Endpoint(frame.src_ip, frame.src_port or 1),
         dst=Endpoint(frame.dst_ip, frame.dst_port or 1),
         payload_size=frame.payload_size,
         tos_marked=frame.tos_marked,
-        meta=meta,
+        meta={} if frame.schedule is None else {"schedule": frame.schedule},
         created_at=frame.start,
     )
 

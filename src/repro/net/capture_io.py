@@ -5,6 +5,10 @@ paper's tcpdump file). These helpers persist it as JSON-lines so a
 capture can be archived and re-analyzed later — e.g. replaying
 alternative client policies with :mod:`repro.energy.replay` without
 re-running the simulation.
+
+A schedule frame stores its schedule under the version-1 key
+``schedule_meta`` as ``{"schedule": Schedule.to_json()}``, so captures
+saved before the schedule rode on packets as an object still load.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 import pathlib
 from typing import Iterable, Sequence, Union
 
-from repro.errors import TraceError
+from repro.errors import SchedulingError, TraceError
 from repro.net.sniffer import FrameRecord
 
 #: Format marker written as the first line.
@@ -44,7 +48,10 @@ def save_capture(frames: Sequence[FrameRecord], path: PathLike) -> pathlib.Path:
                         "broadcast": frame.broadcast,
                         "packet_id": frame.packet_id,
                         "sender": frame.sender,
-                        "schedule_meta": frame.schedule_meta,
+                        "schedule_meta": (
+                            None if frame.schedule is None
+                            else {"schedule": frame.schedule.to_json()}
+                        ),
                         "cell": frame.cell,
                     }
                 )
@@ -55,6 +62,8 @@ def save_capture(frames: Sequence[FrameRecord], path: PathLike) -> pathlib.Path:
 
 def load_capture(path: PathLike) -> list[FrameRecord]:
     """Read a capture written by :func:`save_capture`."""
+    from repro.core.schedule import Schedule
+
     path = pathlib.Path(path)
     frames: list[FrameRecord] = []
     with path.open() as handle:
@@ -74,8 +83,12 @@ def load_capture(path: PathLike) -> list[FrameRecord]:
                 continue
             try:
                 raw = json.loads(line)
+                meta = raw.pop("schedule_meta", None)
+                if meta is not None:
+                    raw["schedule"] = Schedule.from_json(meta["schedule"])
                 frames.append(FrameRecord(**raw))
-            except (json.JSONDecodeError, TypeError) as exc:
+            except (ValueError, TypeError, AttributeError, KeyError,
+                    SchedulingError) as exc:
                 raise TraceError(
                     f"{path}:{line_number}: bad frame record: {exc}"
                 ) from exc

@@ -10,12 +10,15 @@ hears as a :class:`FrameRecord`. The energy analyzer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.net.medium import WirelessMedium
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.sim.core import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - importing net/ never imports core/
+    from repro.core.schedule import Schedule
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -44,10 +47,10 @@ class FrameRecord:
     broadcast: bool
     packet_id: int
     sender: str
-    #: Decoded schedule payload for schedule broadcasts (None for data
+    #: The broadcast schedule for schedule frames (None for data
     #: frames). A real tcpdump capture contains the schedule bytes; the
     #: postmortem replay (repro.energy.replay) needs them decoded.
-    schedule_meta: Optional[dict] = None
+    schedule: Optional[Schedule] = None
     #: Campus cell the frame was heard in ("" outside campus runs).
     cell: str = ""
 
@@ -90,9 +93,7 @@ class MonitoringStation(Node):
                 broadcast=packet.is_broadcast,
                 packet_id=packet.packet_id,
                 sender="",
-                schedule_meta=(
-                    dict(packet.meta) if "schedule" in packet.meta else None
-                ),
+                schedule=packet.meta.get("schedule"),
                 cell=self._medium.cell if self._medium is not None else "",
             )
         )

@@ -13,8 +13,10 @@ two documented substitutions apply (see DESIGN.md):
   control port instead of a TOS bit.
 
 Everything else — per-client queues, the schedule message with SRP and
-rendezvous points, burst transmission, the virtual WNIC the client
-transitions around rendezvous points — matches the simulated proxy.
+rendezvous points (the simulator's own
+:class:`~repro.core.schedule.Schedule`), burst transmission, the
+virtual WNIC the client transitions around rendezvous points — matches
+the simulated proxy.
 """
 
 from repro.runtime.proxy import AsyncProxy, AsyncProxyConfig
@@ -23,7 +25,6 @@ from repro.runtime.chaos import ChaosShim
 from repro.runtime.loadtest import LoadTestConfig, LoadTestReport, run_loadtest
 from repro.runtime.origin import SpeedTestOrigin
 from repro.runtime.supervisor import TaskSupervisor
-from repro.runtime.wire import RuntimeSchedule, RuntimeSlot
 
 __all__ = [
     "AsyncPowerClient",
@@ -32,8 +33,6 @@ __all__ = [
     "ChaosShim",
     "LoadTestConfig",
     "LoadTestReport",
-    "RuntimeSchedule",
-    "RuntimeSlot",
     "SpeedTestOrigin",
     "TaskSupervisor",
     "VirtualWnic",

@@ -21,10 +21,10 @@ import asyncio
 import time
 from typing import Any, Callable, Optional
 
+from repro.core.schedule import Schedule
 from repro.errors import OverloadError, ProxyProtocolError, SchedulingError
 from repro.obs import NULL_RECORDER, Recorder
 from repro.runtime.wire import (
-    RuntimeSchedule,
     decode_control,
     decode_status_line,
     encode_heartbeat,
@@ -162,9 +162,7 @@ class AsyncPowerClient:
         try:
             raw = decode_control(payload)
             schedule = (
-                RuntimeSchedule.decode(payload)
-                if raw["type"] == "schedule"
-                else None
+                Schedule.from_json(raw) if raw["type"] == "schedule" else None
             )
         except SchedulingError:
             # Anything on the network can reach this socket; hostile or
@@ -190,7 +188,7 @@ class AsyncPowerClient:
         except OSError:  # pragma: no cover - transient socket issue
             pass
 
-    def _on_schedule(self, schedule: RuntimeSchedule) -> None:
+    def _on_schedule(self, schedule: Schedule) -> None:
         self.schedules_heard += 1
         self.obs.inc("client.schedules_heard", client=self.client_id)
         self.wnic.wake()
@@ -199,18 +197,19 @@ class AsyncPowerClient:
         arrival = loop.time()
         if self._wake_handle is not None:
             self._wake_handle.cancel()
-        if slot is not None and slot.offset_s > 0.004:
+        if slot is not None and slot.rendezvous - schedule.srp > 0.004:
             # Sleep until the burst rendezvous point (adaptive anchor:
             # arrival time plus the schedule's relative offset).
             self.wnic.sleep()
             self._wake_handle = loop.call_at(
-                arrival + slot.offset_s - self.early_s, self.wnic.wake
+                arrival + (slot.rendezvous - schedule.srp) - self.early_s,
+                self.wnic.wake,
             )
         elif slot is None:
             # No traffic: sleep until the next schedule.
             self.wnic.sleep()
             self._wake_handle = loop.call_at(
-                arrival + schedule.interval_s - self.early_s, self.wnic.wake
+                arrival + schedule.interval - self.early_s, self.wnic.wake
             )
 
     def _on_mark(self) -> None:

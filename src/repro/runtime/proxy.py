@@ -46,15 +46,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.core.schedule import BurstSlot, Schedule
 from repro.errors import ConfigurationError, SchedulingError, SocketError
 from repro.obs import BYTES_BUCKETS, NULL_RECORDER, Recorder, SECONDS_BUCKETS
 from repro.runtime.supervisor import TaskSupervisor
 from repro.runtime.wire import (
     STATUS_OK,
-    RuntimeSchedule,
-    RuntimeSlot,
     decode_heartbeat,
     encode_mark,
+    encode_schedule,
     encode_status_error,
 )
 
@@ -711,28 +711,28 @@ class AsyncProxy:
                 "proxy", seq=schedule.seq, slots=len(schedule.slots),
             )
             for slot in schedule.slots:
-                target = srp + slot.offset_s
-                delay = target - self._now()
+                delay = slot.rendezvous - self._now()
                 if delay > 0:
                     await asyncio.sleep(delay)
                 # Crash-window fix: the client may have vanished between
                 # _build_schedule and its burst; skip it, never KeyError.
-                state = self._clients.get(slot.client_id)
+                state = self._clients.get(slot.client_ip)
                 if state is None:
                     self.obs.inc("drops", reason="vanished")
                     continue
                 self.obs.observe(
                     "scheduler.slot_lateness_s",
-                    max(0.0, self._now() - target),
+                    max(0.0, self._now() - slot.rendezvous),
                     buckets=SECONDS_BUCKETS,
-                    client=slot.client_id,
+                    client=slot.client_ip,
                 )
                 await self._burst(state, self._seq)
             remaining = srp + interval - self._now()
             if remaining > 0:
                 await asyncio.sleep(remaining)
 
-    def _build_schedule(self, seq: int, srp: float) -> RuntimeSchedule:
+    def _build_schedule(self, seq: int, srp: float) -> Schedule:
+        """One interval's slots, at absolute times on the loop clock."""
         config = self.config
         slots = []
         cursor = config.schedule_guard_s
@@ -748,21 +748,21 @@ class AsyncProxy:
                 continue
             duration = state.bytes_pending * 8.0 / config.drain_rate_bps
             slots.append(
-                RuntimeSlot(
-                    client_id=client_id,
-                    offset_s=cursor,
-                    duration_s=duration,
-                    nbytes=state.bytes_pending,
+                BurstSlot(
+                    client_ip=client_id,
+                    rendezvous=srp + cursor,
+                    duration=duration,
+                    bytes_allotted=state.bytes_pending,
                 )
             )
             cursor += duration + config.slot_gap_s
-        return RuntimeSchedule(
-            seq=seq, srp=srp, interval_s=config.burst_interval_s,
+        return Schedule(
+            seq=seq, srp=srp, next_srp=srp + config.burst_interval_s,
             slots=tuple(slots),
         )
 
-    def _broadcast(self, schedule: RuntimeSchedule) -> None:
-        payload = schedule.encode()
+    def _broadcast(self, schedule: Schedule) -> None:
+        payload = encode_schedule(schedule)
         for state in self._clients.values():
             self._send_control(payload, state.control_addr, KIND_SCHEDULE)
 

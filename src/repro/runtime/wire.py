@@ -1,45 +1,21 @@
 """Wire format for the runtime proxy's control datagrams.
 
 Schedules and burst-end marks travel as single JSON datagrams on each
-client's UDP control socket. Timestamps are the proxy's
-``loop.time()`` values; clients use only relative offsets, exactly like
-the simulated adaptive delay compensation.
+client's UDP control socket, and heartbeats travel back. The schedule
+is the simulator's own :class:`~repro.core.schedule.Schedule` in its
+JSON codec, tagged ``"type": "schedule"`` like the marks and
+heartbeats. Timestamps are the proxy's ``loop.time()`` values; clients
+use only relative offsets, exactly like the simulated adaptive delay
+compensation. The CONNECT status lines live here too.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.schedule import Schedule, json_count, json_text
 from repro.errors import SchedulingError
-
-
-def _number(raw: dict, key: str, *, minimum: Optional[float] = None,
-            exclusive: bool = False) -> float:
-    """A required finite numeric field, with an optional lower bound."""
-    value = raw.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchedulingError(f"field {key!r} must be a number, got {value!r}")
-    value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
-        raise SchedulingError(f"field {key!r} is not finite: {value!r}")
-    if minimum is not None:
-        if exclusive and not value > minimum:
-            raise SchedulingError(f"field {key!r} must be > {minimum}")
-        if not exclusive and not value >= minimum:
-            raise SchedulingError(f"field {key!r} must be >= {minimum}")
-    return value
-
-
-def _integer(raw: dict, key: str, *, minimum: Optional[int] = None) -> int:
-    """A required integer field, with an optional lower bound."""
-    value = raw.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchedulingError(f"field {key!r} must be an int, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise SchedulingError(f"field {key!r} must be >= {minimum}")
-    return value
 
 
 def _loads_object(payload: bytes, what: str) -> dict:
@@ -55,95 +31,13 @@ def _loads_object(payload: bytes, what: str) -> dict:
     return raw
 
 
-@dataclass(frozen=True, slots=True)
-class RuntimeSlot:
-    """One client's burst reservation, offsets relative to the SRP."""
+def encode_schedule(schedule: Schedule) -> bytes:
+    """The schedule datagram: the schedule's JSON codec plus its type tag.
 
-    client_id: str
-    offset_s: float
-    duration_s: float
-    nbytes: int
-
-
-@dataclass(frozen=True, slots=True)
-class RuntimeSchedule:
-    """A schedule datagram."""
-
-    seq: int
-    srp: float  # proxy clock
-    interval_s: float
-    slots: tuple[RuntimeSlot, ...] = ()
-
-    def slot_for(self, client_id: str) -> Optional[RuntimeSlot]:
-        """This client's reservation, or None."""
-        for slot in self.slots:
-            if slot.client_id == client_id:
-                return slot
-        return None
-
-    def encode(self) -> bytes:
-        """Serialize to a JSON datagram payload."""
-        return json.dumps(
-            {
-                "type": "schedule",
-                "seq": self.seq,
-                "srp": self.srp,
-                "interval_s": self.interval_s,
-                "slots": [
-                    {
-                        "client_id": s.client_id,
-                        "offset_s": s.offset_s,
-                        "duration_s": s.duration_s,
-                        "nbytes": s.nbytes,
-                    }
-                    for s in self.slots
-                ],
-            }
-        ).encode()
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "RuntimeSchedule":
-        """Parse a schedule datagram.
-
-        Every failure mode — truncated bytes, non-JSON, the wrong JSON
-        shape, missing or mistyped fields — raises
-        :class:`SchedulingError`.  A returned schedule is always fully
-        validated; there is no partial decode.
-        """
-        raw = _loads_object(payload, "schedule")
-        if raw.get("type") != "schedule":
-            raise SchedulingError(
-                f"not a schedule datagram: {raw.get('type')!r}"
-            )
-        slots_raw = raw.get("slots", [])
-        if not isinstance(slots_raw, list):
-            raise SchedulingError(
-                f"field 'slots' must be a list, got {type(slots_raw).__name__}"
-            )
-        slots = []
-        for entry in slots_raw:
-            if not isinstance(entry, dict):
-                raise SchedulingError(
-                    f"slot must be an object, got {type(entry).__name__}"
-                )
-            client_id = entry.get("client_id")
-            if not isinstance(client_id, str) or not client_id:
-                raise SchedulingError(
-                    f"slot field 'client_id' must be a non-empty string, "
-                    f"got {client_id!r}"
-                )
-            slots.append(RuntimeSlot(
-                client_id=client_id,
-                offset_s=_number(entry, "offset_s", minimum=0.0),
-                duration_s=_number(entry, "duration_s", minimum=0.0),
-                nbytes=_integer(entry, "nbytes", minimum=0),
-            ))
-        return cls(
-            seq=_integer(raw, "seq", minimum=0),
-            srp=_number(raw, "srp"),
-            interval_s=_number(raw, "interval_s", minimum=0.0, exclusive=True),
-            slots=tuple(slots),
-        )
+    Clients parse it once with :func:`decode_control` and hand the
+    object to :meth:`Schedule.from_json`.
+    """
+    return json.dumps({"type": "schedule", **schedule.to_json()}).encode()
 
 
 def encode_mark(client_id: str, seq: int) -> bytes:
@@ -170,13 +64,7 @@ def decode_heartbeat(payload: bytes) -> tuple[str, int]:
     raw = _loads_object(payload, "heartbeat")
     if raw.get("type") != "heartbeat":
         raise SchedulingError(f"not a heartbeat datagram: {raw.get('type')!r}")
-    client_id = raw.get("client_id")
-    if not isinstance(client_id, str) or not client_id:
-        raise SchedulingError(
-            f"heartbeat field 'client_id' must be a non-empty string, "
-            f"got {client_id!r}"
-        )
-    return client_id, _integer(raw, "seq", minimum=0)
+    return json_text(raw, "client_id"), json_count(raw, "seq")
 
 
 # -- CONNECT status lines ----------------------------------------------------
@@ -214,7 +102,7 @@ def decode_status_line(line: bytes) -> Optional[str]:
 
 
 def decode_control(payload: bytes) -> dict:
-    """Decode any control datagram (schedule or mark)."""
+    """Parse any control datagram (schedule or mark) into its object."""
     raw = _loads_object(payload, "control")
     if not isinstance(raw.get("type"), str):
         raise SchedulingError("control datagram missing string 'type'")

@@ -163,14 +163,9 @@ def _replay_early(
     """
     from repro.core.delay_comp import AdaptiveCompensator
     from repro.energy.replay import replay_policy
-    from repro.net.sniffer import FrameRecord
 
-    rebuilt = [
-        frame if isinstance(frame, FrameRecord) else FrameRecord(**frame)
-        for frame in frames
-    ]
     return replay_policy(
-        rebuilt,
+        frames,
         client_ip,
         AdaptiveCompensator(early_s=early_s),
         power,

@@ -156,3 +156,46 @@ def test_counters_property_shape():
         "miss_recovery_s", "fallbacks", "resyncs",
         "max_consecutive_misses",
     }
+
+
+class RecordingCompensator(AdaptiveCompensator):
+    """An adaptive compensator that keeps every schedule it observes."""
+
+    def __init__(self):
+        super().__init__()
+        self.heard = []
+
+    def observe_arrival(self, schedule, arrival):
+        self.heard.append(schedule)
+        super().observe_arrival(schedule, arrival)
+
+
+def test_clients_hear_the_object_the_proxy_broadcast():
+    """The schedule rides on the packet as one frozen object: no client
+    rebuilds its own copy."""
+    scenario = quiet_scenario(n_clients=3)
+    scheduler = DynamicScheduler(
+        scenario.proxy, calibrate(scenario.medium), interval_s=0.2
+    )
+    scenario.proxy.attach_scheduler(scheduler)
+    broadcast = {}
+    send = scenario.proxy.broadcast_schedule
+
+    def recording_broadcast(schedule):
+        broadcast[schedule.seq] = schedule
+        send(schedule)
+
+    scenario.proxy.broadcast_schedule = recording_broadcast
+    scenario.proxy.start()
+    compensators = []
+    for handle in scenario.clients:
+        compensators.append(RecordingCompensator())
+        handle.daemon = PowerAwareClient(
+            handle.node, handle.wnic, compensators[-1]
+        )
+    scenario.sim.run(until=3.0)
+    assert len(broadcast) >= 10
+    for compensator in compensators:
+        assert len(compensator.heard) >= 10
+        for schedule in compensator.heard:
+            assert schedule is broadcast[schedule.seq]

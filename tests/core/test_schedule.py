@@ -74,20 +74,3 @@ class TestSchedule:
         empty = Schedule(seq=0, srp=0.0, next_srp=1.0)
         one = Schedule(seq=0, srp=0.0, next_srp=1.0, slots=(slot(rendezvous=0.5),))
         assert one.wire_payload == empty.wire_payload + 16
-
-    def test_meta_round_trip(self):
-        schedule = Schedule(
-            seq=7, srp=2.0, next_srp=2.5, repeats_next=True,
-            slots=(
-                slot(ip="a", rendezvous=2.01, duration=0.1, nbytes=500),
-                slot(ip="b", rendezvous=2.12, duration=0.2, nbytes=900),
-            ),
-        )
-        parsed = Schedule.from_meta(schedule.as_meta())
-        assert parsed == schedule
-
-    def test_malformed_meta_rejected(self):
-        with pytest.raises(SchedulingError):
-            Schedule.from_meta({"schedule": {"seq": 1}})
-        with pytest.raises(SchedulingError):
-            Schedule.from_meta({})

@@ -5,7 +5,6 @@ import pytest
 from repro.core.bandwidth_model import calibrate
 from repro.core.static_schedule import (
     StaticClient,
-    StaticLayout,
     StaticScheduler,
     StaticSlot,
     build_layout,
@@ -47,14 +46,6 @@ class TestLayout:
     def test_interval_too_small_rejected(self):
         with pytest.raises(SchedulingError):
             build_layout([client_ip(i) for i in range(50)], interval_s=0.01)
-
-    def test_meta_round_trip(self):
-        layout = build_layout(
-            [client_ip(0), client_ip(1)], interval_s=0.1,
-            tcp_weight=0.2, tcp_clients=[client_ip(2)], epoch=3.5,
-        )
-        parsed = StaticLayout.from_meta(layout.as_meta())
-        assert parsed == layout
 
     def test_slot_for(self):
         layout = build_layout([client_ip(0)], interval_s=0.1)

@@ -2,34 +2,60 @@
 
 import pytest
 
+from repro.core.schedule import BurstSlot, Schedule
 from repro.errors import TraceError
 from repro.net.capture_io import load_capture, save_capture
 from repro.net.sniffer import FrameRecord
 
+#: A schedule frame exactly as a version-1 capture stored it.
+VERSION_1_SCHEDULE_RECORD = (
+    '{"start": 0.2, "end": 0.202, "src_ip": "10.0.0.254", "src_port": 9797, '
+    '"dst_ip": "10.0.1.1", "dst_port": 5004, "proto": "udp", '
+    '"wire_size": 762, "payload_size": 700, "tos_marked": false, '
+    '"broadcast": true, "packet_id": 7, "sender": "ap", '
+    '"schedule_meta": {"schedule": {"seq": 1, "srp": 0.2, '
+    '"next_srp": 0.3, "slots": []}}}'
+)
 
-def frame(start=0.0, schedule_meta=None, marked=False):
+
+def frame(start=0.0, schedule=None, marked=False):
     return FrameRecord(
         start=start, end=start + 0.002, src_ip="10.0.0.254", src_port=9797,
         dst_ip="10.0.1.1", dst_port=5004, proto="udp", wire_size=762,
-        payload_size=700, tos_marked=marked, broadcast=schedule_meta is not None,
-        packet_id=7, sender="ap", schedule_meta=schedule_meta,
+        payload_size=700, tos_marked=marked, broadcast=schedule is not None,
+        packet_id=7, sender="ap", schedule=schedule,
     )
 
 
 class TestCaptureIO:
     def test_round_trip(self, tmp_path):
-        frames = [
-            frame(0.0),
-            frame(0.1, marked=True),
-            frame(
-                0.2,
-                schedule_meta={"schedule": {"seq": 1, "srp": 0.2,
-                                            "next_srp": 0.3, "slots": []}},
-            ),
-        ]
+        schedule = Schedule(
+            seq=1, srp=0.2, next_srp=0.3, repeats_next=True,
+            slots=(BurstSlot("10.0.1.1", 0.21, 0.01, 700),),
+        )
+        frames = [frame(0.0), frame(0.1, marked=True), frame(0.2, schedule)]
         path = save_capture(frames, tmp_path / "capture.jsonl")
         loaded = load_capture(path)
         assert loaded == frames
+
+    def test_version_1_schedule_record_loads(self, tmp_path):
+        path = tmp_path / "v1.jsonl"
+        path.write_text(
+            '{"format": "repro-capture", "version": 1}\n'
+            + VERSION_1_SCHEDULE_RECORD + "\n"
+        )
+        (loaded,) = load_capture(path)
+        assert loaded == frame(0.2, Schedule(seq=1, srp=0.2, next_srp=0.3))
+        assert isinstance(loaded.schedule, Schedule)
+
+    def test_rejects_malformed_schedule(self, tmp_path):
+        path = save_capture([frame()], tmp_path / "c.jsonl")
+        with path.open("a") as handle:
+            handle.write(VERSION_1_SCHEDULE_RECORD.replace(
+                '"next_srp": 0.3', '"next_srp": 0.1'
+            ) + "\n")
+        with pytest.raises(TraceError):
+            load_capture(path)
 
     def test_empty_capture_round_trip(self, tmp_path):
         path = save_capture([], tmp_path / "empty.jsonl")
@@ -87,10 +113,15 @@ class TestCaptureIO:
         scenario.sim.process(feed())
         scenario.sim.run(until=3.5)
 
-        path = save_capture(scenario.monitor.frames, tmp_path / "run.jsonl")
-        loaded = load_capture(path)
+        frames = scenario.monitor.frames
+        loaded = load_capture(save_capture(frames, tmp_path / "run.jsonl"))
+        assert loaded == list(frames)
         result = replay_policy(
             loaded, client_ip(0), AdaptiveCompensator(), WAVELAN_2_4GHZ
         )
         assert result.schedules_heard > 20
         assert result.report.energy_saved_pct > 40.0
+        # Saving and loading changes nothing the replay can see.
+        assert result == replay_policy(
+            frames, client_ip(0), AdaptiveCompensator(), WAVELAN_2_4GHZ
+        )

@@ -12,6 +12,7 @@ import socket
 
 import pytest
 
+from repro.core.schedule import BurstSlot, Schedule
 from repro.errors import ConfigurationError, OverloadError, ProxyProtocolError
 from repro.obs import SimRecorder
 from repro.runtime.client import AsyncPowerClient
@@ -24,7 +25,6 @@ from repro.runtime.proxy import (
     AsyncProxy,
     AsyncProxyConfig,
 )
-from repro.runtime.wire import RuntimeSchedule, RuntimeSlot
 
 from tests.runtime.conftest import run_strict
 
@@ -218,10 +218,10 @@ class TestLiveProxy:
             await proxy.start()
 
             def haunted_schedule(seq, srp):
-                return RuntimeSchedule(
+                return Schedule(
                     seq=seq, srp=srp,
-                    interval_s=proxy.config.burst_interval_s,
-                    slots=(RuntimeSlot("never-registered", 0.001, 0.001, 64),),
+                    next_srp=srp + proxy.config.burst_interval_s,
+                    slots=(BurstSlot("never-registered", srp + 0.001, 0.001, 64),),
                 )
 
             proxy._build_schedule = haunted_schedule
