@@ -77,7 +77,8 @@ def main() -> None:
 
     # -- postmortem energy analysis ----------------------------------------
     analyzer = EnergyAnalyzer(
-        monitor.frames, WAVELAN_2_4GHZ, duration_s=sim.now, trace=trace
+        monitor.frames, WAVELAN_2_4GHZ, duration_s=sim.now,
+        misses=medium.data_misses,
     )
     report = analyzer.analyze("tablet", "10.0.1.1", wnic, kind="video")
     breakdown = report.breakdown

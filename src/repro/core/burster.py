@@ -17,7 +17,7 @@ bursting thread and the IPQ thread:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.queues import ClientQueue, QueueEntry
 from repro.core.schedule import BurstSlot
@@ -102,6 +102,11 @@ class Burster:
         self._controllers: dict[TcpConnection, MarkingController] = {}
         self.bursts_sent = 0
         self.bytes_burst = 0
+        #: Per client, the (``proxy.bursts``, ``proxy.burst_bytes``) and
+        #: the ``proxy.burst_fill_ratio`` handles, each resolved on first
+        #: use (see Recorder.resolve_*).
+        self._burst_counters: dict[str, tuple[Any, Any]] = {}
+        self._fill_ratios: dict[str, Any] = {}
 
     def controller_for(self, connection: TcpConnection) -> MarkingController:
         """The marking controller for a client-side connection."""
@@ -169,15 +174,23 @@ class Burster:
             client=queue.client_ip, bytes=sent, entries=len(entries),
             allotted=slot.bytes_allotted,
         )
-        self.obs.inc("proxy.bursts", client=queue.client_ip)
-        self.obs.inc("proxy.burst_bytes", sent, client=queue.client_ip)
-        if slot.bytes_allotted > 0:
-            self.obs.observe(
-                "proxy.burst_fill_ratio",
-                min(1.0, sent / slot.bytes_allotted),
-                buckets=RATIO_BUCKETS,
-                client=queue.client_ip,
+        client = queue.client_ip
+        counters = self._burst_counters.get(client)
+        if counters is None:
+            counters = self._burst_counters[client] = (
+                self.obs.resolve_counter("proxy.bursts", client=client),
+                self.obs.resolve_counter("proxy.burst_bytes", client=client),
             )
+        counters[0].inc()
+        counters[1].inc(sent)
+        if slot.bytes_allotted > 0:
+            fill = self._fill_ratios.get(client)
+            if fill is None:
+                fill = self._fill_ratios[client] = self.obs.resolve_histogram(
+                    "proxy.burst_fill_ratio", buckets=RATIO_BUCKETS,
+                    client=client,
+                )
+            fill.observe(min(1.0, sent / slot.bytes_allotted))
         return sent
 
     @staticmethod

@@ -60,9 +60,23 @@ class BurstSlot:
         return self.rendezvous + self.duration
 
 
+class _SlotIndexed:
+    """Room for a schedule's client → slot index outside its fields, so
+    equality, hashing, ``repr``, ``to_json`` and sweep cache keys never
+    see it."""
+
+    __slots__ = ("_by_client",)
+    _by_client: dict[str, BurstSlot]
+
+
 @dataclass(frozen=True, slots=True)
-class Schedule:
-    """A full burst-interval schedule, as broadcast to all clients."""
+class Schedule(_SlotIndexed):
+    """A full burst-interval schedule, as broadcast to all clients.
+
+    Construction validates the slots and indexes each client's first
+    slot, so every client of the cell shares one index instead of
+    scanning the slots itself.
+    """
 
     seq: int
     srp: float  # proxy time this schedule was broadcast
@@ -78,6 +92,7 @@ class Schedule:
                 f"next_srp {self.next_srp} must follow srp {self.srp}"
             )
         previous_end = None
+        by_client: dict[str, BurstSlot] = {}
         for slot in self.slots:
             if slot.rendezvous < self.srp:
                 raise SchedulingError(
@@ -86,6 +101,16 @@ class Schedule:
             if previous_end is not None and slot.rendezvous < previous_end - 1e-9:
                 raise SchedulingError("slots overlap")
             previous_end = slot.end
+            by_client.setdefault(slot.client_ip, slot)
+        object.__setattr__(self, "_by_client", by_client)
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Unpickling and copying go back through construction, which
+        # validates again and rebuilds the slot index.
+        return (
+            type(self),
+            (self.seq, self.srp, self.next_srp, self.slots, self.repeats_next),
+        )
 
     @property
     def interval(self) -> float:
@@ -98,11 +123,9 @@ class Schedule:
         return SCHEDULE_HEADER_BYTES + SLOT_ENTRY_BYTES * len(self.slots)
 
     def slot_for(self, client_ip: str) -> Optional[BurstSlot]:
-        """This client's slot, or None if it has no traffic this interval."""
-        for slot in self.slots:
-            if slot.client_ip == client_ip:
-                return slot
-        return None
+        """This client's (first) slot, or None if it has no traffic this
+        interval."""
+        return self._by_client.get(client_ip)
 
     def to_json(self) -> dict[str, Any]:
         """The schedule as a JSON-ready object (:meth:`from_json` inverts it)."""

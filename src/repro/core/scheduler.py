@@ -20,7 +20,7 @@ the same layout — saving every client one schedule wake-up.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.core.bandwidth_model import LinearCostModel
 from repro.core.policy import ClientView, PaperDynamicPolicy, SchedulingPolicy
@@ -109,6 +109,13 @@ class DynamicScheduler:
         self.seq = 0
         self._last_layout: Optional[tuple] = None
         self._silenced: set[str] = set()
+        #: Per client, the ``scheduler.queue_bytes``,
+        #: ``scheduler.slot_lateness_s`` and ``scheduler.slot_utilization``
+        #: histogram handles, each resolved on first use (see
+        #: Recorder.resolve_*).
+        self._queue_bytes: dict[str, Any] = {}
+        self._slot_lateness: dict[str, Any] = {}
+        self._slot_utilization: dict[str, Any] = {}
 
     @property
     def is_variable(self) -> bool:
@@ -173,15 +180,16 @@ class DynamicScheduler:
         # compute each client's backlog three times, which at 1k+
         # clients dominated schedule construction).
         pending = []
+        queue_bytes = self._queue_bytes
         for ip, _queue in self.proxy.iter_queues():
             udp_bytes, tcp_bytes = self.proxy.scheduling_backlog_by_kind(ip)
             backlog = udp_bytes + tcp_bytes
-            obs.observe(
-                "scheduler.queue_bytes",
-                backlog,
-                buckets=BYTES_BUCKETS,
-                client=ip,
-            )
+            histogram = queue_bytes.get(ip)
+            if histogram is None:
+                histogram = queue_bytes[ip] = obs.resolve_histogram(
+                    "scheduler.queue_bytes", buckets=BYTES_BUCKETS, client=ip,
+                )
+            histogram.observe(backlog)
             if backlog > 0 and ip not in self._silenced:
                 pending.append((ip, udp_bytes, tcp_bytes))
         pending = self._admit(pending)
@@ -410,12 +418,14 @@ class DynamicScheduler:
                 # was built: release the slot instead of bursting into
                 # the cell it just left.
                 continue
-            obs.observe(
-                "scheduler.slot_lateness_s",
-                max(0.0, sim.now - slot.rendezvous),
-                buckets=SECONDS_BUCKETS,
-                client=slot.client_ip,
-            )
+            client = slot.client_ip
+            lateness = self._slot_lateness.get(client)
+            if lateness is None:
+                lateness = self._slot_lateness[client] = obs.resolve_histogram(
+                    "scheduler.slot_lateness_s", buckets=SECONDS_BUCKETS,
+                    client=client,
+                )
+            lateness.observe(max(0.0, sim.now - slot.rendezvous))
             obs.span(
                 slot.rendezvous, slot.rendezvous + slot.duration,
                 "slot", f"client {slot.client_ip}",
@@ -430,12 +440,15 @@ class DynamicScheduler:
             )
             sent = self.proxy.burster.burst(queue, slot)
             if slot.bytes_allotted > 0:
-                obs.observe(
-                    "scheduler.slot_utilization",
-                    min(1.0, sent / slot.bytes_allotted),
-                    buckets=RATIO_BUCKETS,
-                    client=slot.client_ip,
-                )
+                utilization = self._slot_utilization.get(client)
+                if utilization is None:
+                    utilization = self._slot_utilization[client] = (
+                        obs.resolve_histogram(
+                            "scheduler.slot_utilization",
+                            buckets=RATIO_BUCKETS, client=client,
+                        )
+                    )
+                utilization.observe(min(1.0, sent / slot.bytes_allotted))
             self.proxy.finish_drained_splits(slot.client_ip)
         if schedule.next_srp > sim.now:
             yield sim.timeout(schedule.next_srp - sim.now)

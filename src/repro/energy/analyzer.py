@@ -6,7 +6,8 @@ Reads the monitoring station's capture after a run and produces one
 * high-/low-power residency from the client's WNIC transition log,
 * receive/transmit residency from frame airtime overlapped with the
   awake timeline,
-* packets lost (UDP) / dropped (TCP) from the medium's miss records,
+* packets lost (UDP) / dropped (TCP) from the medium's record of
+  missed unicast data frames (kept in every obs mode),
 * energy under a :class:`~repro.wnic.power.PowerModel`, versus the
   naive always-on client over the identical traffic.
 """
@@ -25,7 +26,6 @@ from repro.energy.model import (
 from repro.energy.report import ClientReport
 from repro.errors import TraceError
 from repro.net.sniffer import FrameRecord
-from repro.sim.trace import TraceRecorder
 from repro.wnic.power import PowerModel
 from repro.wnic.states import Wnic
 
@@ -58,8 +58,8 @@ class _FrameIndex:
     data_frames: dict[str, list[FrameRecord]] = field(default_factory=dict)
     #: src ip → total payload bytes transmitted.
     sent_payload: dict[str, int] = field(default_factory=dict)
-    #: dst ip → unicast data "medium.miss" trace rows.
-    miss_rows: dict[str, list] = field(default_factory=dict)
+    #: dst ip → payload bytes of each missed unicast data frame.
+    missed_payloads: dict[str, list[int]] = field(default_factory=dict)
 
 
 class EnergyAnalyzer:
@@ -70,6 +70,10 @@ class EnergyAnalyzer:
     charged to clients resident in that cell at the frame's start.
     Unlabeled frames (single-cell captures) are charged to everyone,
     which reproduces the paper's single-cell accounting.
+
+    ``misses`` lists each missed unicast data frame as
+    ``(destination, payload bytes)``: the medium's ``data_misses`` (the
+    cells' lists, concatenated, on a campus) or a replay's own.
     """
 
     def __init__(
@@ -77,7 +81,7 @@ class EnergyAnalyzer:
         frames: Sequence[FrameRecord],
         power: PowerModel,
         duration_s: float,
-        trace: Optional[TraceRecorder] = None,
+        misses: Sequence[tuple[str, int]] = (),
         residency: Optional[Residency] = None,
     ) -> None:
         if duration_s <= 0:
@@ -85,7 +89,7 @@ class EnergyAnalyzer:
         self.frames = list(frames)
         self.power = power
         self.duration_s = duration_s
-        self.trace = trace
+        self.misses = misses
         self.residency = residency
         self._index: Optional[_FrameIndex] = None
 
@@ -112,12 +116,8 @@ class EnergyAnalyzer:
             index.sent_payload[frame.src_ip] = (
                 index.sent_payload.get(frame.src_ip, 0) + frame.payload_size
             )
-        if self.trace is not None:
-            for row in self.trace.query("medium.miss"):
-                if not row.fields["broadcast"] and row.fields["payload"] > 0:
-                    index.miss_rows.setdefault(row.fields["dst"], []).append(
-                        row
-                    )
+        for dst_ip, payload in self.misses:
+            index.missed_payloads.setdefault(dst_ip, []).append(payload)
         self._index = index
         return index
 
@@ -172,9 +172,9 @@ class EnergyAnalyzer:
         """Unicast data frames (payload > 0) addressed to ``ip``."""
         return list(self._ensure_index().data_frames.get(ip, ()))
 
-    def missed_data_packets(self, ip: str) -> list:
-        """Medium miss records for unicast data addressed to ``ip``."""
-        return list(self._ensure_index().miss_rows.get(ip, ()))
+    def missed_data_packets(self, ip: str) -> list[int]:
+        """Payload bytes of each missed unicast data frame to ``ip``."""
+        return list(self._ensure_index().missed_payloads.get(ip, ()))
 
     # -- analysis ----------------------------------------------------------
 
@@ -216,8 +216,8 @@ class EnergyAnalyzer:
         )
         data_frames = self.data_frames_to(ip)
         missed = self.missed_data_packets(ip)
-        delivered_bytes = sum(f.payload_size for f in data_frames) - sum(
-            row.fields["payload"] for row in missed
+        delivered_bytes = (
+            sum(f.payload_size for f in data_frames) - sum(missed)
         )
         return ClientReport(
             name=name,

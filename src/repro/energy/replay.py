@@ -34,12 +34,12 @@ from repro.core.delay_comp import DelayCompensator
 from repro.energy.analyzer import EnergyAnalyzer
 from repro.energy.report import ClientReport
 from repro.errors import TraceError
-from repro.net.addr import BROADCAST_IP, Endpoint
+from repro.net.addr import Endpoint
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.sniffer import FrameRecord
 from repro.obs.recorder import SimRecorder
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import Simulator
 from repro.wnic.power import PowerModel
 from repro.wnic.states import Wnic
 
@@ -91,8 +91,7 @@ def replay_policy(
     horizon = duration_s if duration_s is not None else frames[-1].end + 0.001
 
     sim = Simulator()
-    trace = TraceRecorder()
-    recorder = SimRecorder(trace=trace)
+    recorder = SimRecorder()
     node = Node(sim, f"replay-{client_ip}", client_ip, obs=recorder)
     node.add_interface("wl0")
     wnic = Wnic(sim, node.name, obs=recorder)
@@ -102,6 +101,9 @@ def replay_policy(
 
     delivered = {"n": 0}
     missed = {"n": 0}
+    # (destination, payload) of each unicast data frame slept through,
+    # in the shape of the medium's ``data_misses``.
+    data_misses: list[tuple[str, int]] = []
 
     def deliver(frame: FrameRecord) -> None:
         if frame.src_ip == client_ip:
@@ -115,13 +117,7 @@ def replay_policy(
         else:
             missed["n"] += 1
             if frame.payload_size > 0 and not frame.broadcast:
-                recorder.event(
-                    sim.now, "medium.miss",
-                    dst=client_ip, proto=frame.proto,
-                    size=frame.wire_size, payload=frame.payload_size,
-                    marked=frame.tos_marked, broadcast=frame.broadcast,
-                    packet_id=frame.packet_id,
-                )
+                data_misses.append((client_ip, frame.payload_size))
 
     for frame in frames:
         if frame.end > horizon:
@@ -129,7 +125,9 @@ def replay_policy(
         sim.call_at(frame.end, lambda f=frame: deliver(f))
     sim.run(until=horizon)
 
-    analyzer = EnergyAnalyzer(list(frames), power, duration_s=horizon, trace=trace)
+    analyzer = EnergyAnalyzer(
+        list(frames), power, duration_s=horizon, misses=data_misses
+    )
     report = analyzer.analyze(
         name=node.name,
         ip=client_ip,

@@ -107,7 +107,8 @@ def _run_one(policy: str, duration_s: float, rate_bps: float, seed: int) -> Base
     sim.run(until=duration_s + 1.0)
 
     analyzer = EnergyAnalyzer(
-        monitor.frames, WAVELAN_2_4GHZ, duration_s=sim.now, trace=trace
+        monitor.frames, WAVELAN_2_4GHZ, duration_s=sim.now,
+        misses=medium.data_misses,
     )
     report = analyzer.analyze("client", CLIENT_IP, wnic)
     mean_latency = sum(latencies) / len(latencies) if latencies else 0.0

@@ -424,7 +424,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         frames,
         config.power,
         duration_s=sim.now,
-        trace=scenario.trace,
+        misses=[
+            miss for cell in scenario.cells for miss in cell.medium.data_misses
+        ],
         residency=residency,
     )
     effective_rate = cost_model.effective_rate_bps(mss=700)

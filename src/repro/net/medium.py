@@ -9,6 +9,11 @@ of them. A station whose receive gate is closed (WNIC asleep) misses
 frames addressed to it; the medium records those misses, which is how
 packet loss enters the evaluation.
 
+Delivery does not walk the whole cell per frame: a per-address index
+holds each unicast frame's receivers (the promiscuous stations plus the
+addressee, in attach order), so a frame costs the same in a cell of 10
+stations or 250. Broadcasts still visit every station.
+
 The airtime model is ``overhead + wire_size * 8 / rate`` plus a random
 contention backoff, which for 1500-byte frames on an 11 Mbps channel
 yields the ~4-5 Mbps effective goodput the paper reports.
@@ -37,6 +42,9 @@ DEFAULT_RATE_BPS = 11e6
 DEFAULT_FRAME_OVERHEAD_S = ms(0.8)
 #: Default upper bound of the uniform contention backoff.
 DEFAULT_MAX_BACKOFF_S = ms(0.4)
+
+#: An attached interface with its ``promiscuous`` flag as read at attach.
+Station = tuple[Interface, bool]
 
 
 class WirelessMedium:
@@ -74,8 +82,16 @@ class WirelessMedium:
         #: Draws live on exclusive ``channel*`` streams, so installing
         #: one never perturbs fault-plan or backoff replays.
         self.channel = None
-        self._stations: list[Interface] = []
-        self._station_ips: set[str] = set()
+        #: Attached stations, in attach order.
+        self._stations: list[Station] = []
+        #: The promiscuous stations, in attach order: every frame's
+        #: receivers besides its addressee.
+        self._monitors: tuple[Station, ...] = ()
+        #: Delivery index: per station address, the receivers of a
+        #: unicast frame to it — the promiscuous stations plus the
+        #: stations bound to that address, in attach order. An address
+        #: missing here belongs to no station (the gateway side).
+        self._receivers: dict[str, tuple[Station, ...]] = {}
         #: Clients that roamed away mid-flight: frames addressed to them
         #: die in this cell instead of bouncing off the gateway. Empty
         #: (and free) outside campus runs.
@@ -101,22 +117,37 @@ class WirelessMedium:
         self._in_flight: Optional[tuple[Interface, Packet, float]] = None
         self.frames_sent = 0
         self.frames_missed = 0
+        #: (destination, payload bytes) of every missed unicast data
+        #: frame, in miss order, whatever the obs mode: the energy
+        #: analyzer's loss accounting.
+        self.data_misses: list[tuple[str, int]] = []
         self.busy_time = 0.0
 
     # -- topology ----------------------------------------------------------
 
     def attach(self, iface: Interface, gateway: bool = False) -> None:
-        """Attach a station; ``gateway=True`` marks the access point side."""
+        """Attach a station; ``gateway=True`` marks the access point side.
+
+        The interface's ``promiscuous`` flag is read here, once: it
+        decides whether the station hears every frame until it detaches.
+        """
         if iface.channel is not None:
             raise NetworkError(f"{iface!r} is already attached to a channel")
+        if gateway and self._gateway is not None:
+            raise NetworkError("medium already has a gateway")
         iface.channel = self
-        self._stations.append(iface)
-        self._station_ips.add(iface.node.ip)
+        station = (iface, iface.promiscuous)
+        self._stations.append(station)
         self.departed.discard(iface.node.ip)
         if gateway:
-            if self._gateway is not None:
-                raise NetworkError("medium already has a gateway")
             self._gateway = iface
+        if station[1]:
+            self._reindex()
+        else:
+            ip = iface.node.ip
+            self._receivers[ip] = (
+                self._receivers.get(ip, self._monitors) + (station,)
+            )
 
     def detach(self, iface: Interface) -> None:
         """Detach a roaming station (the handoff coordinator's half)."""
@@ -124,9 +155,36 @@ class WirelessMedium:
             raise NetworkError("cannot detach the gateway interface")
         if iface.channel is not self:
             raise NetworkError(f"{iface!r} is not attached to this medium")
-        self._stations.remove(iface)
-        self._station_ips.discard(iface.node.ip)
+        station = next(s for s in self._stations if s[0] is iface)
+        self._stations.remove(station)
         iface.channel = None
+        if station[1]:
+            self._reindex()
+            return
+        ip = iface.node.ip
+        receivers = tuple(
+            other for other in self._receivers[ip] if other is not station
+        )
+        if any(other.node.ip == ip for other, _ in receivers):
+            self._receivers[ip] = receivers
+        else:
+            del self._receivers[ip]
+
+    def _reindex(self) -> None:
+        """Rebuild the whole delivery index (the monitor set changed)."""
+        monitors: list[Station] = []
+        receivers: dict[str, list[Station]] = {}
+        for station in self._stations:
+            ip = station[0].node.ip
+            if station[1]:
+                for listed in receivers.values():
+                    listed.append(station)
+                monitors.append(station)
+                receivers.setdefault(ip, list(monitors))
+            else:
+                receivers.setdefault(ip, list(monitors)).append(station)
+        self._monitors = tuple(monitors)
+        self._receivers = {ip: tuple(listed) for ip, listed in receivers.items()}
 
     def set_cell(self, label: str) -> None:
         """Label this medium as campus cell ``label`` for obs purposes."""
@@ -135,8 +193,8 @@ class WirelessMedium:
 
     @property
     def stations(self) -> tuple[Interface, ...]:
-        """All attached interfaces."""
-        return tuple(self._stations)
+        """All attached interfaces, in attach order."""
+        return tuple(iface for iface, _ in self._stations)
 
     # -- airtime -------------------------------------------------------------
 
@@ -154,7 +212,7 @@ class WirelessMedium:
 
     def transmit(self, src_iface: Interface, packet: Packet) -> None:
         """Queue ``packet`` for the channel; FIFO, one frame at a time."""
-        if src_iface not in self._stations:
+        if src_iface.channel is not self:
             raise NetworkError(f"{src_iface!r} is not attached to this medium")
         self._queue.append((src_iface, packet))
         if not self._busy:
@@ -272,18 +330,21 @@ class WirelessMedium:
             self._frame_handles[packet.proto] = handles
         handles[0].inc()
         handles[1].observe(packet.wire_size)
-        dst_is_station = packet.dst.ip in self._station_ips
-        for iface in self._stations:
+        dst_ip = packet.dst.ip
+        if packet.is_broadcast:
+            addressed, receivers = None, self._stations
+        else:
+            addressed = self._receivers.get(dst_ip)
+            receivers = self._monitors if addressed is None else addressed
+        for iface, promiscuous in receivers:
             if iface is src_iface:
                 continue
-            if iface.promiscuous:
+            if promiscuous:
                 iface.deliver(packet)
                 continue
-            addressed = (
-                packet.is_broadcast or iface.node.ip == packet.dst.ip
-            )
-            if not addressed:
-                continue
+            # Every other receiver is addressed: a broadcast reaches
+            # all stations, a unicast frame only those bound to its
+            # destination.
             out_of_range = self.faults is not None and not self.faults.can_hear(
                 end, iface.node.ip
             )
@@ -308,46 +369,40 @@ class WirelessMedium:
                 else:
                     cause = "sleep"
                     counter = "medium.sleep_miss"
-                self.frames_missed += 1
-                self.counters.incr(counter)
-                self.obs.event(
-                    end, "medium.miss",
-                    dst=iface.node.ip, proto=packet.proto,
-                    size=packet.wire_size, payload=packet.payload_size,
-                    marked=packet.tos_marked,
-                    broadcast=packet.is_broadcast,
-                    packet_id=packet.packet_id,
-                    **self._cell_fields,
-                )
-                self.obs.inc(
-                    "medium.misses",
-                    dst=iface.node.ip,
-                    cause=cause,
-                    **self._cell_fields,
-                )
-        if packet.is_broadcast or dst_is_station:
+                self._record_miss(end, packet, iface.node.ip, cause, counter)
+        if packet.is_broadcast or addressed is not None:
+            # A broadcast, or a station's own address: nothing leaves
+            # the cell.
             return
-        if packet.dst.ip in self.departed:
+        if dst_ip in self.departed:
             # The addressee roamed away mid-flight: the frame dies here
             # instead of bouncing between the gateway and the medium.
-            self.frames_missed += 1
-            self.counters.incr("campus.handoff_miss")
-            self.obs.event(
-                end, "medium.miss",
-                dst=packet.dst.ip, proto=packet.proto,
-                size=packet.wire_size, payload=packet.payload_size,
-                marked=packet.tos_marked,
-                broadcast=packet.is_broadcast,
-                packet_id=packet.packet_id,
-                **self._cell_fields,
-            )
-            self.obs.inc(
-                "medium.misses",
-                dst=packet.dst.ip,
-                cause="handoff",
-                **self._cell_fields,
+            self._record_miss(
+                end, packet, dst_ip, "handoff", "campus.handoff_miss"
             )
             return
         # Not a wireless station's address: hand it up to the gateway (AP).
         if self._gateway is not None and self._gateway is not src_iface:
             self._gateway.deliver(packet)
+
+    def _record_miss(
+        self, end: float, packet: Packet, dst_ip: str, cause: str,
+        counter: str,
+    ) -> None:
+        """Account one frame that did not reach ``dst_ip``."""
+        self.frames_missed += 1
+        self.counters.incr(counter)
+        if not packet.is_broadcast and packet.payload_size > 0:
+            self.data_misses.append((dst_ip, packet.payload_size))
+        self.obs.event(
+            end, "medium.miss",
+            dst=dst_ip, proto=packet.proto,
+            size=packet.wire_size, payload=packet.payload_size,
+            marked=packet.tos_marked,
+            broadcast=packet.is_broadcast,
+            packet_id=packet.packet_id,
+            **self._cell_fields,
+        )
+        self.obs.inc(
+            "medium.misses", dst=dst_ip, cause=cause, **self._cell_fields,
+        )

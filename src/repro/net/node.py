@@ -42,7 +42,9 @@ class Interface:
         #: (clients wire this to their WNIC power state).
         self.rx_gate: Optional[Callable[[Packet], bool]] = None
         #: Promiscuous interfaces receive frames regardless of address
-        #: (the monitoring station).
+        #: (the monitoring station). A wireless medium reads this flag
+        #: once, at attach time: set it before attaching, since a
+        #: change made while attached takes effect only on re-attach.
         self.promiscuous = False
 
     def send(self, packet: Packet) -> None:

@@ -28,7 +28,8 @@ class UdpSocket:
         port: local port to bind.
         on_receive: optional callback invoked for every datagram; when
             omitted, datagrams are buffered and retrievable with
-            :meth:`recv` (an event) or :meth:`try_recv`.
+            :meth:`recv` (an event) or :meth:`try_recv`. A callback
+            socket has no buffer: its ``recv``/``try_recv`` raise.
         local_ip: bind address; defaults to the node's address. The
             proxy binds spoofed addresses here (e.g. the server's) to
             receive traffic transparently.
@@ -44,7 +45,10 @@ class UdpSocket:
         self.node = node
         self.local = Endpoint(local_ip or node.ip, port)
         self._on_receive = on_receive
-        self._inbox: Store = Store(node.sim)
+        #: Queue-mode receive buffer, created by the first datagram
+        #: queued or the first ``recv()``: send-only and callback
+        #: sockets never allocate one.
+        self._inbox: Optional[Store] = None
         self._closed = False
         self.datagrams_sent = 0
         self.datagrams_received = 0
@@ -106,17 +110,33 @@ class UdpSocket:
         if self._on_receive is not None:
             self._on_receive(packet)
         else:
-            self._inbox.put(packet)
+            self._buffer("put").put(packet)
 
     def recv(self):
         """Event that fires with the next datagram."""
         if self._closed:
             raise SocketError("recv on closed socket")
-        return self._inbox.get()
+        return self._buffer("recv").get()
 
     def try_recv(self) -> Optional[Packet]:
         """Non-waiting receive; None when no datagram is buffered."""
-        return self._inbox.try_get()
+        if self._inbox is not None:
+            return self._inbox.try_get()
+        self._refuse_callback_mode("try_recv")
+        return None
+
+    def _buffer(self, op: str) -> Store:
+        """The queue-mode receive buffer, created on first use."""
+        if self._inbox is None:
+            self._refuse_callback_mode(op)
+            self._inbox = Store(self.node.sim)
+        return self._inbox
+
+    def _refuse_callback_mode(self, op: str) -> None:
+        if self._on_receive is not None:
+            raise SocketError(
+                f"{op} on a callback-mode socket: datagrams go to its callback"
+            )
 
     def close(self) -> None:
         """Unbind the socket; further sends/recvs raise."""

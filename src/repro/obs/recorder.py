@@ -3,8 +3,8 @@
 Every component records through a :class:`Recorder`:
 
 * :meth:`Recorder.event` — a point event on the simulated timeline,
-  stored as a :class:`~repro.sim.trace.TraceRecord` (so the energy
-  analyzer's postmortem queries keep working unchanged);
+  stored as a :class:`~repro.sim.trace.TraceRecord` (the event-stream
+  export and ``repro trace`` read them; no report does);
 * :meth:`Recorder.span` — a ``[start, end)`` interval (burst slots,
   schedule intervals, WNIC awake stretches) feeding the Chrome-trace /
   Perfetto exporter;
@@ -64,7 +64,7 @@ NULL_INSTRUMENT = _NullInstrument()
 class Recorder:
     """Interface (and no-op base) for instrumentation sinks."""
 
-    #: The wrapped raw trace log, if any (postmortem queries read it).
+    #: The wrapped raw trace log, if any (the event exports read it).
     trace: Optional[TraceRecorder] = None
     #: The metrics registry, if metrics are being collected.
     metrics: Optional[MetricsRegistry] = None
@@ -95,10 +95,12 @@ class Recorder:
 
     # -- resolved handles --------------------------------------------------
     #
-    # Per-packet call sites (the medium's frame accounting, the AP's
-    # queue-depth gauge) resolve their instrument once and update the
-    # returned handle directly, skipping the per-call label
-    # canonicalization and registry lookup. The handles still come from
+    # Per-packet and per-client call sites (the medium's frame
+    # accounting, the AP's queue-depth gauge, and each client's WNIC,
+    # schedule, burst and scheduler instruments) resolve their
+    # instrument once, on first use, and update the returned handle
+    # directly, skipping the per-call label canonicalization and
+    # registry lookup. The handles still come from
     # the recorder, so observability stays funneled through this class
     # and turning metrics off yields free no-op handles.
 

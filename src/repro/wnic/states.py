@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from typing import Any, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.recorder import Recorder
@@ -51,6 +51,9 @@ class Wnic:
             (sim.now, self._state)
         ]
         self.wake_count = 0
+        #: Per target state, the ``wnic.transitions`` counter handle,
+        #: resolved on first use (see Recorder.resolve_*).
+        self._transition_counters: dict[str, Any] = {}
 
     @property
     def state(self) -> WnicState:
@@ -85,13 +88,19 @@ class Wnic:
         previous = self.transitions[-1] if self.transitions else None
         self._state = state
         self.transitions.append((self.sim.now, state))
+        to_state = state.value
         self.obs.event(
             self.sim.now, "wnic.transition", owner=self.owner,
-            state=state.value,
+            state=to_state,
         )
-        self.obs.inc(
-            "wnic.transitions", owner=self.owner, to_state=state.value
-        )
+        counter = self._transition_counters.get(to_state)
+        if counter is None:
+            counter = self._transition_counters[to_state] = (
+                self.obs.resolve_counter(
+                    "wnic.transitions", owner=self.owner, to_state=to_state
+                )
+            )
+        counter.inc()
         if (
             state == WnicState.SLEEP
             and previous is not None

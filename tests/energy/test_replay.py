@@ -10,7 +10,6 @@ from repro.energy.replay import replay_policy, sweep_early_amounts
 from repro.errors import TraceError
 from repro.experiments.scenarios import (
     ScenarioConfig,
-    VIDEO_SERVER_IP,
     build_scenario,
     client_ip,
 )
@@ -67,7 +66,8 @@ def test_replay_matches_live_run_closely(capture):
     from repro.energy.analyzer import EnergyAnalyzer
 
     analyzer = EnergyAnalyzer(
-        frames, WAVELAN_2_4GHZ, duration_s=live.sim.now, trace=live.trace
+        frames, WAVELAN_2_4GHZ, duration_s=live.sim.now,
+        misses=live.medium.data_misses,
     )
     live_report = analyzer.analyze(
         "live", client_ip(0), live.clients[0].wnic

@@ -5,9 +5,12 @@ import pytest
 from repro.energy.analyzer import EnergyAnalyzer
 from repro.energy.report import summarize
 from repro.errors import TraceError
-from repro.net.sniffer import FrameRecord
-from repro.sim import Simulator, TraceRecorder
+from repro.net.sniffer import FrameRecord, MonitoringStation
+from repro.net.udp import UdpSocket
+from repro.sim import Simulator
 from repro.wnic import WAVELAN_2_4GHZ, Wnic
+
+from tests.net.helpers import wireless_cell
 
 
 def frame(start, end, dst="10.0.1.1", src="10.0.0.254", payload=1000, **kw):
@@ -56,33 +59,35 @@ class TestAnalyzer:
         assert report.energy_saved_pct > 0
         assert report.naive.receive_s == pytest.approx(0.4)
 
-    def test_misses_counted_from_medium_trace(self):
+    def test_misses_counted_from_medium_record(self):
         sim = Simulator()
-        trace = TraceRecorder()
-        trace.record(5.0, "medium.miss", dst="10.0.1.1", proto="udp",
-                     size=1062, payload=1000, marked=False, broadcast=False,
-                     packet_id=1)
-        trace.record(6.0, "medium.miss", dst="10.0.1.2", proto="udp",
-                     size=1062, payload=1000, marked=False, broadcast=False,
-                     packet_id=2)
         wnic = Wnic(sim, "c1")
         frames = [frame(1.0, 1.2), frame(5.0, 5.2)]
-        analyzer = EnergyAnalyzer(frames, WAVELAN_2_4GHZ, 10.0, trace=trace)
+        analyzer = EnergyAnalyzer(
+            frames, WAVELAN_2_4GHZ, 10.0,
+            misses=[("10.0.1.1", 1000), ("10.0.1.2", 1000)],
+        )
         report = analyzer.analyze("c1", "10.0.1.1", wnic)
         assert report.packets_missed == 1
         assert report.loss_pct == pytest.approx(50.0)
         assert report.bytes_received == 1000
 
     def test_broadcast_misses_not_counted_as_data_loss(self):
-        sim = Simulator()
-        trace = TraceRecorder()
-        trace.record(5.0, "medium.miss", dst="10.0.1.1", proto="udp",
-                     size=100, payload=50, marked=False, broadcast=True,
-                     packet_id=1)
-        wnic = Wnic(sim, "c1")
-        analyzer = EnergyAnalyzer([frame(0.0, 0.1)], WAVELAN_2_4GHZ, 10.0,
-                                  trace=trace)
-        report = analyzer.analyze("c1", "10.0.1.1", wnic)
+        """A sleeping station that misses a broadcast data frame loses
+        no data: the medium keeps only unicast data misses."""
+        sim, medium, gateway, clients = wireless_cell(n_clients=1)
+        monitor = MonitoringStation(sim)
+        monitor.attach_to(medium)
+        wnic = Wnic(sim, "c0", start_asleep=True)
+        clients[0].interfaces["wl0"].rx_gate = wnic.can_receive
+        UdpSocket(gateway, 5000).broadcast(50, 7000)
+        sim.run()
+        assert medium.frames_missed == 1
+        assert medium.data_misses == []
+        analyzer = EnergyAnalyzer(
+            monitor.frames, WAVELAN_2_4GHZ, 10.0, misses=medium.data_misses
+        )
+        report = analyzer.analyze("c0", clients[0].ip, wnic)
         assert report.packets_missed == 0
 
 

@@ -81,6 +81,7 @@ def test_rx_gate_blocks_and_records_miss():
     misses = list(trace.query("medium.miss"))
     assert len(misses) == 1
     assert misses[0].fields["dst"] == client.ip
+    assert medium.data_misses == [(client.ip, 500)]
 
 
 def test_missed_unicast_does_not_leak_to_gateway():
@@ -130,8 +131,11 @@ def test_channel_drop_hook():
 def test_attach_two_gateways_rejected():
     sim, medium, gateway, clients = wireless_cell(n_clients=1)
     other = Node(sim, "gw2", "10.0.0.253")
+    iface = other.add_interface("wl0")
     with pytest.raises(NetworkError):
-        medium.attach(other.add_interface("wl0"), gateway=True)
+        medium.attach(iface, gateway=True)
+    assert iface.channel is None
+    assert iface not in medium.stations
 
 
 def test_frame_trace_records_timing_and_sizes():

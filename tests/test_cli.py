@@ -56,6 +56,22 @@ class TestCommands:
         assert len(rows) == 2
         assert all(30.0 < row["saved_pct"] < 95.0 for row in rows)
 
+    def test_run_reports_identical_in_every_obs_mode(self, capsys):
+        """Loss comes from the medium's own miss record, not trace rows,
+        so the metrics-only and off modes report the same loss."""
+        reports = {}
+        for mode in ("full", "trace", "metrics", "off"):
+            code = main([
+                "run", "--clients", "video:512,video:512,video:512,video:512",
+                "--interval", "100ms", "--duration", "30", "--seed", "2",
+                "--json", "--obs", mode,
+            ])
+            assert code == 0
+            reports[mode] = json.loads(capsys.readouterr().out)
+        assert any(row["loss_pct"] > 0 for row in reports["full"])
+        for mode in ("trace", "metrics", "off"):
+            assert reports[mode] == reports["full"], mode
+
     def test_run_table_output(self, capsys):
         code = main([
             "run", "--clients", "video:56", "--interval", "250ms",
