@@ -519,7 +519,7 @@ def generate_report(results_dir: pathlib.Path) -> str:
             "cold invocation simulates and populates the cache, a warm "
             "rerun of the same artifact replays results from disk "
             "without a single simulation. Figure-4 grid, quick sizing, "
-            "after the kernel speed program (DESIGN.md §11):",
+            "latest `BENCH_sweep.json` entry:",
             "",
             _table(
                 sweep,
@@ -527,18 +527,29 @@ def generate_report(results_dir: pathlib.Path) -> str:
                  "speedup_vs_cold"],
             ),
             "",
-            "The kernel rewrite cut the cold serial sweep from the "
-            "10.8 s recorded in the previous `BENCH_sweep.json` entry "
-            "to 5.9 s (~1.8×), and the warm worker pool (persistent "
-            "preloaded workers, chunked dispatch) lifted `--jobs 2` "
-            "from 0.86× of serial — parallel fan-out used to *lose* to "
-            "process spawn/import cost — to break-even on this "
-            "single-CPU host, where a genuine speedup is impossible by "
-            "construction; the CI perf-smoke job requires an outright "
-            "win on ≥2 CPUs. Trajectory rows now carry the code "
-            "fingerprint and host CPU count, so entries recorded on "
-            "different machines or against different code compare "
-            "honestly.",
+            "The cold serial sweep's measured steps, from the "
+            "`BENCH_sweep.json` trajectory: on a single-CPU host the "
+            "kernel rewrite (DESIGN.md §11) cut it from 10.8 s to 5.9 s "
+            "(~1.8×), and the warm worker pool (persistent preloaded "
+            "workers, chunked dispatch) lifted `--jobs 2` from 0.86× of "
+            "serial — parallel fan-out used to *lose* to process "
+            "spawn/import cost — to break-even, where one CPU makes a "
+            "genuine speedup impossible. On a shared 2-CPU host the "
+            "sweep took 8.2 s cold-serial (4.8 s at `--jobs 2`) just "
+            "before links, AP forwarding and the medium went to one heap "
+            "push per packet per hop (DESIGN.md §11); the table above is "
+            "that host after the change. A single wall-clock run there "
+            "varies by more than the change's gain (7.3-9.4 s for one "
+            "code version), so the gain was measured with the paired, "
+            "kernel-normalised benchmark in `perfbench/`: `fig4_grid` "
+            "`run_s` (CPU seconds per pass, scaled by a reference "
+            "kernel) fell from 6.37 s to 5.70 s (-10.6%, median of 10 "
+            "alternating pairs, the change faster in all 10), and the "
+            "events per pass from 964,732 to 534,241. The CI "
+            "perf-smoke job requires an outright `--jobs 2` win on ≥2 "
+            "CPUs. Trajectory rows carry the code fingerprint and host "
+            "CPU count, so entries recorded on different machines or "
+            "against different code compare honestly.",
             "",
             "Any source change under `src/repro/` rotates the code "
             "fingerprint and cold-starts every key, so a warm cache can "

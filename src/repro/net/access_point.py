@@ -38,46 +38,37 @@ DEFAULT_BASE_DELAY_S = us(300)
 class _ForwardPath:
     """One store-and-forward direction of the AP.
 
-    A callback chain rather than a ``Store``-fed generator process —
-    every packet of every flow crosses the AP, so this is one of the
-    busiest spots in a sweep. The heap-push pattern matches the old
-    generator exactly (one wakeup push when an idle path accepts a
-    packet, one jitter-delay push per packet, one wakeup push when a
-    send finds the queue non-empty; the jitter RNG is drawn when the
-    wakeup fires), so schedules stay byte-identical. ``queue`` holds
-    waiting packets only — the packet being delayed is ``_in_flight``,
-    mirroring how the old Store handed the head item to the waiting
-    getter immediately.
+    A callback chain in which each packet costs one heap push: its
+    ``_send`` at the end of its forwarding delay. The delay is drawn
+    when the packet reaches the head of the path — in ``accept`` when
+    the path is idle, in ``_send`` when a packet waits behind the one
+    just sent — so the AP's RNG is drawn in the order packets reach the
+    head. ``queue`` holds waiting packets only; the packet being
+    delayed is ``_in_flight`` (``None`` when the path is idle).
     """
 
-    __slots__ = ("ap", "out_iface", "queue", "busy", "_in_flight")
+    __slots__ = ("ap", "out_iface", "queue", "_in_flight")
 
     def __init__(self, ap: "AccessPoint", out_iface: Interface) -> None:
         self.ap = ap
         self.out_iface = out_iface
         self.queue: deque[Packet] = deque()
-        self.busy = False
         self._in_flight: Optional[Packet] = None
 
     def accept(self, packet: Packet) -> None:
-        if self.busy:
+        if self._in_flight is not None:
             self.queue.append(packet)
         else:
-            self.busy = True
             self._in_flight = packet
-            self.ap.sim.call_later(0.0, self._delay)
-
-    def _delay(self) -> None:
-        self.ap.sim.call_later(self.ap._forwarding_delay(), self._send)
+            self.ap.sim.call_later(self.ap._forwarding_delay(), self._send)
 
     def _send(self) -> None:
         self.out_iface.send(self._in_flight)
         if self.queue:
             self._in_flight = self.queue.popleft()
-            self.ap.sim.call_later(0.0, self._delay)
+            self.ap.sim.call_later(self.ap._forwarding_delay(), self._send)
         else:
             self._in_flight = None
-            self.busy = False
 
 
 class AccessPoint(Node):

@@ -1,13 +1,13 @@
 """Full-duplex point-to-point links (the wired Fast Ethernet segments).
 
 Each direction serializes packets FIFO at the link rate, then delays
-them by propagation latency plus optional jitter. A drop hook supports
-loss experiments (the paper's Netfilter/DummyNet runs).
+them by the propagation latency. A drop hook supports loss experiments
+(the paper's Netfilter/DummyNet runs); it judges each packet when the
+packet would arrive.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Optional
 
 from repro.errors import NetworkError
@@ -17,62 +17,48 @@ from repro.net.packet import Packet
 from repro.sim.core import Simulator
 from repro.units import transmit_time
 
-#: Optional per-packet hooks.
-JitterFn = Callable[[Packet], float]
+#: Optional per-packet drop predicate.
 DropFn = Callable[[Packet], bool]
 
 
 class _Direction:
     """One direction of a link: FIFO serialization + delayed delivery.
 
-    Implemented as a callback chain rather than a generator process —
-    links carry hundreds of thousands of packets per sweep, and the
-    Process/Timeout machinery was pure overhead here. The heap-push
-    pattern (one delay-0 start push per busy period, then per packet a
-    serialization push followed by a delivery push) matches the old
-    generator version exactly, so event ordering is byte-identical.
+    A FIFO server at a fixed rate needs no queue, only the instant it
+    falls idle: a packet's serialization ends at ``max(now, free_at) +
+    transmit_time``. ``enqueue`` computes that instant, advances
+    ``free_at`` to it and schedules the delivery ``latency`` later, so
+    each packet costs one heap push. The drop hook runs in the delivery
+    callback (DESIGN.md §11 gives the equivalence argument).
     """
 
-    __slots__ = ("link", "dst_iface", "queue", "busy", "_in_flight")
+    __slots__ = ("link", "dst_iface", "free_at")
 
     def __init__(self, link: "Link", dst_iface: Interface) -> None:
         self.link = link
         self.dst_iface = dst_iface
-        self.queue: deque[Packet] = deque()
-        self.busy = False
-        self._in_flight: Optional[Packet] = None
+        #: When the last packet handed to this direction finishes
+        #: serializing.
+        self.free_at = 0.0
 
     def enqueue(self, packet: Packet) -> None:
-        self.queue.append(packet)
-        if not self.busy:
-            self.busy = True
-            self.link.sim.call_later(0.0, self._next)
-
-    def _next(self) -> None:
-        if not self.queue:
-            self.busy = False
-            return
-        packet = self.queue.popleft()
-        self._in_flight = packet
-        self.link.sim.call_later(
-            transmit_time(packet.wire_size, self.link.rate_bps),
-            self._transmitted,
-        )
-
-    def _transmitted(self) -> None:
         link = self.link
-        packet = self._in_flight
-        self._in_flight = None
+        sim = link.sim
+        now = sim.now
+        start = self.free_at
+        done = (start if start > now else now) + transmit_time(
+            packet.wire_size, link.rate_bps
+        )
+        self.free_at = done
+        sim.call_at1(done + link.latency, self._deliver, packet)
+
+    def _deliver(self, packet: Packet) -> None:
+        link = self.link
         if link.drop is not None and link.drop(packet):
             link.counters.incr(link.drop_key)
-            self._next()
             return
-        delay = link.latency
-        if link.jitter is not None:
-            delay += max(0.0, link.jitter(packet))
         link.packets_delivered += 1
-        link.sim.call_later1(delay, self.dst_iface.deliver, packet)
-        self._next()
+        self.dst_iface.deliver(packet)
 
 
 class Link:
@@ -82,7 +68,6 @@ class Link:
         sim: owning simulator.
         rate_bps: serialization rate in bits per second.
         latency: one-way propagation delay in seconds.
-        jitter: optional per-packet extra delay function.
         drop: optional per-packet drop predicate.
     """
 
@@ -91,7 +76,6 @@ class Link:
         sim: Simulator,
         rate_bps: float,
         latency: float = 0.0,
-        jitter: Optional[JitterFn] = None,
         drop: Optional[DropFn] = None,
         counters: Optional[FaultCounters] = None,
         drop_key: str = "link.dropped",
@@ -103,7 +87,6 @@ class Link:
         self.sim = sim
         self.rate_bps = rate_bps
         self.latency = latency
-        self.jitter = jitter
         self.drop = drop
         #: Drops are accounted in a (possibly scenario-shared) counter
         #: registry under ``drop_key``, so links, pipes and the wireless
@@ -120,13 +103,19 @@ class Link:
         return self.counters.get(self.drop_key)
 
     def attach(self, iface_a: Interface, iface_b: Interface) -> "Link":
-        """Connect the two endpoints of this link."""
+        """Connect the two endpoints of this link.
+
+        Both interfaces are checked before either is changed, so a
+        rejected call leaves them as it found them.
+        """
         if self._ifaces is not None:
             raise NetworkError("link endpoints already attached")
+        if iface_a is iface_b:
+            raise NetworkError(f"{iface_a!r} cannot be both ends of a link")
         for iface in (iface_a, iface_b):
             if iface.channel is not None:
                 raise NetworkError(f"{iface!r} is already attached to a channel")
-            iface.channel = self
+        iface_a.channel = iface_b.channel = self
         self._ifaces = (iface_a, iface_b)
         self._directions[iface_a] = _Direction(self, iface_b)
         self._directions[iface_b] = _Direction(self, iface_a)

@@ -217,14 +217,15 @@ class WirelessMedium:
         self._queue.append((src_iface, packet))
         if not self._busy:
             self._busy = True
-            self.sim.call_later(0.0, self._next_frame)
+            self._next_frame()
 
-    # The medium's arbitration loop is a callback chain (one airtime
-    # timer per frame), not a generator process: at ~75k frames per
-    # cold figure-4 run the Process/Timeout machinery dominated the
-    # profile. Heap pushes happen in the same order as the old
-    # generator (start push, then one occupancy push per frame), so
-    # frame ordering — and every RNG backoff draw — is byte-identical.
+    # The medium's arbitration loop is a callback chain with one heap
+    # push per frame, its airtime timer. An idle medium starts a frame
+    # inside ``transmit``; a busy one queues it, and ``_frame_done``
+    # starts the next. ``_busy`` stays set while ``_frame_done``
+    # delivers, so a station that answers a frame synchronously queues
+    # its reply behind the frames already waiting. Backoff is drawn
+    # when a frame starts, in FIFO order.
 
     def _next_frame(self) -> None:
         if not self._queue:

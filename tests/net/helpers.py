@@ -7,14 +7,12 @@ from repro.sim import Simulator
 from repro.units import mbps, ms
 
 
-def wire_pair(
-    sim=None, rate=mbps(100), latency=ms(0.2), jitter=None, drop=None
-):
+def wire_pair(sim=None, rate=mbps(100), latency=ms(0.2), drop=None):
     """Two nodes 'a' (10.0.0.1) and 'b' (10.0.0.2) joined by a link."""
     sim = sim or Simulator()
     a = Node(sim, "a", "10.0.0.1")
     b = Node(sim, "b", "10.0.0.2")
-    link = Link(sim, rate_bps=rate, latency=latency, jitter=jitter, drop=drop)
+    link = Link(sim, rate_bps=rate, latency=latency, drop=drop)
     ia, ib = a.add_interface("eth0"), b.add_interface("eth0")
     link.attach(ia, ib)
     a.set_default_route(ia)

@@ -7,6 +7,7 @@ from repro.net.addr import Endpoint
 from repro.net.link import Link
 from repro.net.medium import WirelessMedium
 from repro.net.node import Node
+from repro.net.packet import Packet
 from repro.net.udp import UdpSocket
 from repro.sim import RngStreams, Simulator
 from repro.units import mbps, ms
@@ -122,3 +123,19 @@ def test_downlink_queue_depth_tracked():
     UdpSocket(clients[0], 7000)
     sim.run()
     assert ap.max_downlink_depth > 1
+
+
+def test_downlink_packet_costs_one_push_per_hop():
+    rng = RngStreams(seed=3).get("ap")
+    sim, host, ap, medium, clients = build_infrastructure(rng=rng)
+    before = sim._seq
+    for seq in range(10):
+        ap.forward(
+            ap.wired,
+            Packet("udp", Endpoint(host.ip, 5000),
+                   Endpoint(clients[0].ip, 7000), 1000, seq=seq),
+        )
+    sim.run()
+    # Per packet: its forwarding-delay timer and its airtime timer.
+    assert sim._seq - before == 20
+    assert medium.frames_sent == 10

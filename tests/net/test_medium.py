@@ -6,6 +6,7 @@ from repro.errors import NetworkError
 from repro.net.addr import BROADCAST_IP, Endpoint
 from repro.net.medium import WirelessMedium
 from repro.net.node import Node
+from repro.net.packet import Packet
 from repro.net.udp import UdpSocket
 from repro.sim import RngStreams, Simulator, TraceRecorder
 from repro.units import mbps
@@ -151,3 +152,19 @@ def test_frame_trace_records_timing_and_sizes():
     assert fields["end"] - fields["start"] == pytest.approx(
         medium.airtime(400 + 62)
     )
+
+
+def test_idle_medium_starts_a_frame_without_a_wakeup_push():
+    sim, medium, gateway, clients = wireless_cell(n_clients=1)
+    src = gateway.interfaces["wl0"]
+    before = sim._seq
+    for seq in range(10):
+        medium.transmit(
+            src,
+            Packet("udp", Endpoint(gateway.ip, 5000),
+                   Endpoint(clients[0].ip, 7000), 1000, seq=seq),
+        )
+    sim.run()
+    # One airtime timer per frame and nothing else.
+    assert sim._seq - before == 10
+    assert medium.frames_sent == 10
