@@ -15,67 +15,54 @@ Components map one-to-one onto the paper's §3:
   last-packet TOS marking protocol (§3.2.2 "Packet Marking");
 * :mod:`~repro.core.proxy` — the transparent proxy itself: packet
   interception, split TCP connections, address spoofing (Figure 3);
-* :mod:`~repro.core.client` — the client daemon that transitions the
-  WNIC around rendezvous points;
+* :mod:`~repro.core.daemon` — the client daemon as one sans-IO state
+  machine that transitions the WNIC around rendezvous points;
+* :mod:`~repro.core.client` — that daemon's simulator driver;
 * :mod:`~repro.core.delay_comp` — delay-compensation algorithms
   (§3.3);
 * :mod:`~repro.core.policy` — the slot-admission policy family
   (paper-dynamic, channel-aware, joint queue+channel threshold) and
   the discrete (queue, channel) model the offline DP optimum in
   :mod:`repro.energy.optimal` is defined over.
+
+The names below resolve on first use, so importing one module (the
+pure :mod:`~repro.core.daemon`, say) does not load the simulator.
 """
 
-from repro.core.bandwidth_model import LinearCostModel
-from repro.core.client import PowerAwareClient
-from repro.core.delay_comp import (
-    AdaptiveCompensator,
-    FixedClockCompensator,
-    OracleCompensator,
-)
-from repro.core.policy import (
-    POLICY_NAMES,
-    ChannelAwarePolicy,
-    ClientView,
-    JointThresholdPolicy,
-    PaperDynamicPolicy,
-    PolicyInstance,
-    PolicyOutcome,
-    SchedulingPolicy,
-    execute_grants,
-    make_policy,
-    random_instance,
-    rollout,
-)
-from repro.core.proxy import TransparentProxy
-from repro.core.queues import ClientQueue, QueueEntry
-from repro.core.schedule import SCHEDULE_PORT, BurstSlot, Schedule
-from repro.core.scheduler import DynamicScheduler
-from repro.core.static_schedule import StaticScheduler
+from __future__ import annotations
 
-__all__ = [
-    "AdaptiveCompensator",
-    "BurstSlot",
-    "ChannelAwarePolicy",
-    "ClientQueue",
-    "ClientView",
-    "DynamicScheduler",
-    "FixedClockCompensator",
-    "JointThresholdPolicy",
-    "LinearCostModel",
-    "OracleCompensator",
-    "POLICY_NAMES",
-    "PaperDynamicPolicy",
-    "PolicyInstance",
-    "PolicyOutcome",
-    "PowerAwareClient",
-    "QueueEntry",
-    "SCHEDULE_PORT",
-    "Schedule",
-    "SchedulingPolicy",
-    "StaticScheduler",
-    "TransparentProxy",
-    "execute_grants",
-    "make_policy",
-    "random_instance",
-    "rollout",
-]
+import importlib
+from typing import Any
+
+_HOMES = {
+    name: module
+    for module, names in {
+        "bandwidth_model": ("LinearCostModel",),
+        "client": ("PowerAwareClient",),
+        "delay_comp": (
+            "AdaptiveCompensator", "FixedClockCompensator", "OracleCompensator",
+        ),
+        "policy": (
+            "POLICY_NAMES", "ChannelAwarePolicy", "ClientView",
+            "JointThresholdPolicy", "PaperDynamicPolicy", "PolicyInstance",
+            "PolicyOutcome", "SchedulingPolicy", "execute_grants",
+            "make_policy", "random_instance", "rollout",
+        ),
+        "proxy": ("TransparentProxy",),
+        "queues": ("ClientQueue", "QueueEntry"),
+        "schedule": ("SCHEDULE_PORT", "BurstSlot", "Schedule"),
+        "scheduler": ("DynamicScheduler",),
+        "static_schedule": ("StaticScheduler",),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _HOMES:
+        raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"repro.core.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value

@@ -19,15 +19,15 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.core.bandwidth_model import LinearCostModel
+from repro.core.client import SimDriver
+from repro.core.daemon import ClientMachine
 from repro.core.schedule import SCHEDULE_HEADER_BYTES, SLOT_ENTRY_BYTES
-from repro.core.txguard import TransmitWakeGuard
 from repro.errors import SchedulingError
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.udp import UdpSocket
 from repro.obs.recorder import Recorder
 from repro.sim.core import Event
-from repro.sim.trace import TraceRecorder
 from repro.units import ms, us
 from repro.wnic.states import Wnic
 
@@ -38,6 +38,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: dynamic SCHEDULE_PORT so one client implementation cannot confuse
 #: the two).
 STATIC_LAYOUT_PORT = 9798
+#: Poll spacing while a client waits for the layout and its epoch.
+LAYOUT_POLL_S = ms(5)
+#: How long past its slot's end a client keeps waiting for the mark.
+SLOT_GRACE_S = ms(10)
+#: No data this long into the slot means it is empty this interval and
+#: the client sleeps early (the proxy sends at the slot's very start).
+NOSHOW_GRACE_S = ms(8)
+#: Client state: awake through the interval's TCP slot.
+TCP_SLOT = "tcp-slot"
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,131 +209,98 @@ class StaticScheduler:
                 self.proxy.send_packet(entry.packet)
 
 
-class StaticClient:
-    """Client daemon for the static layout: no schedule wake-ups."""
+class StaticClient(ClientMachine):
+    """Client daemon for the static layout: no schedule wake-ups. Only
+    the layout walk is its own (:mod:`repro.core.daemon` has the rest)."""
 
     def __init__(
         self,
         node: Node,
         wnic: Wnic,
         early_s: float = ms(6),
-        min_sleep_gap_s: float = ms(4),
-        slot_grace_s: float = ms(10),
-        trace: Optional[TraceRecorder] = None,
-        wireless_iface: str = "wl0",
         obs: Optional[Recorder] = None,
     ) -> None:
-        self.node = node
-        self.sim = node.sim
-        self.wnic = wnic
+        super().__init__(node.ip, obs if obs is not None else node.obs)
         self.early_s = early_s
-        self.min_sleep_gap_s = min_sleep_gap_s
-        self.slot_grace_s = slot_grace_s
-        if obs is not None:
-            self.obs = obs
-        elif trace is not None:
-            self.obs = Recorder.wrap(trace)
-        else:
-            self.obs = node.obs
-        self.trace = self.obs.trace if trace is None else trace
-        node.interfaces[wireless_iface].rx_gate = wnic.can_receive
-        self._tx_guard = TransmitWakeGuard(node, wnic)
         self._layout: Optional[StaticLayout] = None
         self._layout_anchor = 0.0
-        self._mark_waiter = None
-        self._slot_first_frame: Optional[float] = None
-        #: If no data shows up this long into the slot, the slot is
-        #: empty this interval and the client sleeps early. (With a
-        #: static schedule the proxy sends a client's burst at the very
-        #: start of its slot, so a no-show is decisive quickly.)
-        self.noshow_grace_s = ms(8)
-        node.taps.insert(0, self._watch_frames)
-        UdpSocket(node, STATIC_LAYOUT_PORT, on_receive=self._on_layout)
         self.bursts_received = 0
         self.early_wait_s = 0.0
-        self.sim.process(self._run())
-
-    def _watch_frames(self, packet: Packet, iface) -> bool:
-        if packet.dst.ip != self.node.ip:
-            return False
-        if packet.payload_size > 0 and self._slot_first_frame is None:
-            self._slot_first_frame = self.sim.now
-        if packet.tos_marked and self._mark_waiter is not None:
-            waiter, self._mark_waiter = self._mark_waiter, None
-            if not waiter.triggered:
-                waiter.succeed(True)
-        return False
+        SimDriver(self, node, wnic)
+        UdpSocket(node, STATIC_LAYOUT_PORT, on_receive=self._on_layout)
 
     def _on_layout(self, packet: Packet) -> None:
         self._layout = packet.meta["static_layout"]
-        # Anchor on arrival: epoch is a proxy timestamp, but the offset
-        # between broadcast time and arrival is small and constant-ish.
+        # Anchor on the proxy's epoch: the delay from the proxy's clock to
+        # the client is small and constant-ish; the early amount absorbs it.
         self._layout_anchor = self._layout.epoch
 
-    def _run(self):
-        sim = self.sim
-        self.wnic.wake()
-        while self._layout is None or self._layout.epoch == 0.0:
-            yield sim.timeout(0.005)
+    # -- the layout walk ---------------------------------------------------
+
+    def on_start(self, now: float) -> None:
+        self.driver.wake()
+        self._poll(now)
+
+    def _poll(self, now: float) -> None:
+        """Poll until the layout and its epoch have arrived."""
         layout = self._layout
-        my_slot = layout.slot_for(self.node.ip)
-        in_tcp = self.node.ip in layout.tcp_clients
-        interval_index = 0
-        while True:
-            start = self._layout_anchor + interval_index * layout.interval
-            events: list[tuple[float, float, bool]] = []
-            if in_tcp and layout.tcp_slot_s > 0:
-                events.append((start, start + layout.tcp_slot_s, False))
-            if my_slot is not None:
-                slot_start = start + my_slot.offset
-                events.append(
-                    (slot_start, slot_start + my_slot.duration, True)
-                )
-            events.sort()
-            for wake_target, end_target, udp_slot in events:
-                yield from self._sleep_until(wake_target - self.early_s)
-                wake_time = sim.now
-                if udp_slot:
-                    self._slot_first_frame = None
-                    got = yield from self._await_mark(
-                        end_target + self.slot_grace_s,
-                        noshow_deadline=wake_target + self.noshow_grace_s,
-                    )
-                    if got:
-                        self.bursts_received += 1
-                else:
-                    # TCP slot: awake for the whole reservation.
-                    if end_target > sim.now:
-                        yield sim.timeout(end_target - sim.now)
-                self.early_wait_s += max(0.0, min(
-                    sim.now, wake_target
-                ) - wake_time)
-            interval_index += 1
-            next_start = self._layout_anchor + interval_index * layout.interval
-            if not events:
-                yield from self._sleep_until(next_start - self.early_s)
+        if layout is None or layout.epoch == 0.0:
+            self._wait(LAYOUT_POLL_S, self._poll)
+            return
+        self._walk = layout
+        self._slot = layout.slot_for(self.client)
+        self._in_tcp = self.client in layout.tcp_clients
+        self._interval_index = 0
+        self._plan_interval(now)
 
-    def _await_mark(self, deadline: float, noshow_deadline: Optional[float] = None):
-        if deadline <= self.sim.now:
-            return False
-        waiter = self.sim.event()
-        self._mark_waiter = waiter
-        if noshow_deadline is not None and noshow_deadline < deadline:
-            # Phase 1: give the burst a short window to show up at all.
-            if noshow_deadline > self.sim.now:
-                first = self.sim.timeout(noshow_deadline - self.sim.now)
-                yield self.sim.any_of([waiter, first])
-                if waiter.processed:
-                    return bool(waiter.value)
-            if self._slot_first_frame is None:
-                self._mark_waiter = None
-                return False  # empty slot this interval: sleep early
-        timeout = self.sim.timeout(deadline - self.sim.now)
-        yield self.sim.any_of([waiter, timeout])
-        if waiter.processed:
-            return bool(waiter.value)
-        self._mark_waiter = None
-        return False
+    def _plan_interval(self, now: float) -> None:
+        """This interval's reservations: the TCP slot, then the client's
+        own UDP slot, each as (wake target, end, is the UDP slot)."""
+        layout = self._walk
+        start = self._layout_anchor + self._interval_index * layout.interval
+        events: list[tuple[float, float, bool]] = []
+        if self._in_tcp and layout.tcp_slot_s > 0:
+            events.append((start, start + layout.tcp_slot_s, False))
+        if self._slot is not None:
+            slot_start = start + self._slot.offset
+            events.append((slot_start, slot_start + self._slot.duration, True))
+        events.sort()
+        self._events = events
+        self._event_index = 0
+        self._next_event(now)
 
-    def _sleep_until(self, wake_at: float):
-        yield from self._tx_guard.sleep_until(wake_at, self.min_sleep_gap_s)
+    def _next_event(self, now: float) -> None:
+        if self._event_index < len(self._events):
+            wake_target = self._events[self._event_index][0]
+            self.sleep_until(now, wake_target - self.early_s, self._at_event)
+            return
+        self._interval_index += 1
+        if self._events:
+            self._plan_interval(now)
+            return
+        next_start = self._layout_anchor + self._interval_index * self._walk.interval
+        self.sleep_until(now, next_start - self.early_s, self._plan_interval)
+
+    def _at_event(self, now: float) -> None:
+        wake_target, end_target, udp_slot = self._events[self._event_index]
+        self._woke_at = now
+        if udp_slot:
+            self.burst_first_frame = None
+            self.await_burst(
+                now, end_target + SLOT_GRACE_S,
+                wake_target + NOSHOW_GRACE_S, self._event_done,
+            )
+        elif end_target > now:
+            # TCP slot: awake for the whole reservation.
+            self.state = TCP_SLOT
+            self._wait(end_target - now, lambda t: self._event_done(False, t))
+        else:
+            self._event_done(False, now)
+
+    def _event_done(self, got_mark: bool, now: float) -> None:
+        if got_mark:
+            self.bursts_received += 1
+        wake_target = self._events[self._event_index][0]
+        self.early_wait_s += max(0.0, min(now, wake_target) - self._woke_at)
+        self._event_index += 1
+        self._next_event(now)

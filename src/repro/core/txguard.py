@@ -16,18 +16,14 @@ a timer while the daemon sleeps).
 
 from __future__ import annotations
 
-from typing import Iterator
-
+from repro.core.daemon import HANDSHAKE_POLL_S
 from repro.net.node import Node
 from repro.net.packet import Packet, TcpFlags
-from repro.sim.core import Event
 from repro.units import ms
 from repro.wnic.states import Wnic
 
 #: How long after a stray (non-handshake) transmission to re-sleep.
 RESLEEP_DELAY_S = ms(2)
-#: Poll spacing while a handshake keeps the card up.
-HANDSHAKE_POLL_S = ms(2)
 
 
 class TransmitWakeGuard:
@@ -82,27 +78,3 @@ class TransmitWakeGuard:
     def _maybe_resleep(self) -> None:
         if self.daemon_sleeping and not self.busy_connections():
             self.wnic.sleep()
-
-    def sleep_until(
-        self, wake_at: float, min_sleep_gap_s: float
-    ) -> Iterator[Event]:
-        """Generator: sleep the card until ``wake_at`` (daemon helper).
-
-        Defers the descent into sleep while handshakes are pending, and
-        skips the sleep entirely for gaps too short to pay for the
-        wake transition.
-        """
-        sim = self.sim
-        while self.busy_connections() and sim.now < wake_at:
-            yield sim.timeout(min(HANDSHAKE_POLL_S, wake_at - sim.now))
-        gap = wake_at - sim.now
-        if gap <= 0:
-            return
-        if gap <= min_sleep_gap_s:
-            yield sim.timeout(gap)
-            return
-        self.daemon_sleeping = True
-        self.wnic.sleep()
-        yield sim.timeout(gap)
-        self.daemon_sleeping = False
-        self.wnic.wake()

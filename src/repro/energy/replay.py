@@ -74,7 +74,6 @@ def replay_policy(
     compensator: DelayCompensator,
     power: PowerModel,
     duration_s: Optional[float] = None,
-    client_kwargs: Optional[dict] = None,
 ) -> ReplayResult:
     """Replay a capture against a hypothetical client policy.
 
@@ -84,7 +83,6 @@ def replay_policy(
         compensator: the delay-compensation algorithm under test.
         power: card power model for the final accounting.
         duration_s: analysis horizon (defaults to the last frame time).
-        client_kwargs: extra ``PowerAwareClient`` arguments.
     """
     if not frames:
         raise TraceError("cannot replay an empty capture")
@@ -95,9 +93,7 @@ def replay_policy(
     node = Node(sim, f"replay-{client_ip}", client_ip, obs=recorder)
     node.add_interface("wl0")
     wnic = Wnic(sim, node.name, obs=recorder)
-    daemon = PowerAwareClient(
-        node, wnic, compensator, obs=recorder, **(client_kwargs or {})
-    )
+    daemon = PowerAwareClient(node, wnic, compensator, obs=recorder)
 
     delivered = {"n": 0}
     missed = {"n": 0}
@@ -153,7 +149,6 @@ def sweep_early_amounts(
     early_amounts_s: Sequence[float],
     compensator_factory: Optional[Callable[[float], DelayCompensator]] = None,
     duration_s: Optional[float] = None,
-    client_kwargs: Optional[dict] = None,
     engine: Optional["SweepEngine"] = None,
 ) -> list[tuple[float, ReplayResult]]:
     """Figure 6 from one capture: replay several early amounts.
@@ -171,7 +166,6 @@ def sweep_early_amounts(
                 replay_policy(
                     frames, client_ip, compensator_factory(early), power,
                     duration_s=duration_s,
-                    client_kwargs=client_kwargs,
                 ),
             )
             for early in early_amounts_s
@@ -193,7 +187,6 @@ def sweep_early_amounts(
                     "power": power,
                     "early_s": early,
                     "duration_s": duration_s,
-                    "client_kwargs": client_kwargs,
                 }
                 for early in early_amounts_s
             ],

@@ -14,13 +14,13 @@ two documented substitutions apply (see DESIGN.md):
 
 Everything else — per-client queues, the schedule message with SRP and
 rendezvous points (the simulator's own
-:class:`~repro.core.schedule.Schedule`), burst transmission, the
-virtual WNIC the client transitions around rendezvous points — matches
-the simulated proxy.
+:class:`~repro.core.schedule.Schedule`), burst transmission, the client
+daemon (:class:`~repro.core.daemon.ScheduleMachine`) — matches the
+simulated proxy.
 """
 
 from repro.runtime.proxy import AsyncProxy, AsyncProxyConfig
-from repro.runtime.client import AsyncPowerClient, VirtualWnic
+from repro.runtime.client import AsyncPowerClient
 from repro.runtime.chaos import ChaosShim
 from repro.runtime.loadtest import LoadTestConfig, LoadTestReport, run_loadtest
 from repro.runtime.origin import SpeedTestOrigin
@@ -35,6 +35,5 @@ __all__ = [
     "LoadTestReport",
     "SpeedTestOrigin",
     "TaskSupervisor",
-    "VirtualWnic",
     "run_loadtest",
 ]

@@ -2,9 +2,10 @@
 
 :func:`run_demo` spins up, inside one event loop: an origin byte server,
 the scheduling proxy, and N power-aware clients that each download a
-file through the proxy. It returns per-client statistics including the
-virtual WNIC's estimated savings — the live analog of the simulator's
-experiments (with wall-clock jitter instead of modelled jitter).
+file through the proxy. It returns per-client statistics including each
+client's estimated savings, from its WNIC log by the simulator's energy
+model — the live analog of the simulator's experiments (with wall-clock
+jitter instead of modelled jitter).
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
+from repro.energy.model import integrate_intervals, naive_breakdown
 from repro.runtime.client import AsyncPowerClient
 from repro.runtime.origin import SpeedTestOrigin
 from repro.runtime.proxy import AsyncProxy, AsyncProxyConfig
+from repro.wnic.power import WAVELAN_2_4GHZ, PowerModel
+from repro.wnic.states import Wnic
 
 
 async def start_byte_server(
@@ -29,6 +33,21 @@ async def start_byte_server(
     origin = SpeedTestOrigin(host=host, pace_s=0.005)
     port = await origin.start()
     return origin, port
+
+
+def estimated_savings_pct(
+    wnic: Wnic, end: float, power: PowerModel = WAVELAN_2_4GHZ
+) -> float:
+    """Energy saved by ``wnic``'s log up to ``end`` against an
+    always-awake card, by the simulator's energy model. The live client
+    sees no frame airtime, so all awake time counts as idle."""
+    if end <= 0:
+        return 0.0
+    spent = integrate_intervals(
+        wnic.awake_intervals(end), [], [], end, wnic.wake_count, power
+    )
+    naive = naive_breakdown([], [], end, power)
+    return 100.0 * (1.0 - spent.energy_j / naive.energy_j)
 
 
 @dataclass
@@ -77,8 +96,8 @@ async def run_demo(
 
     results = []
     for client, payload in zip(clients, payloads):
-        elapsed = client.wnic._now()
-        awake = client.wnic.awake_time()
+        elapsed = client.clock.now
+        awake = client.wnic.awake_time(elapsed)
         results.append(
             DemoClientResult(
                 client_id=client.client_id,
@@ -86,7 +105,9 @@ async def run_demo(
                 schedules_heard=client.schedules_heard,
                 marks_heard=client.marks_heard,
                 awake_fraction=awake / elapsed if elapsed > 0 else 1.0,
-                estimated_savings_pct=client.wnic.estimated_savings_pct(),
+                estimated_savings_pct=estimated_savings_pct(
+                    client.wnic, elapsed
+                ),
             )
         )
         client.stop()

@@ -75,7 +75,7 @@ class AsyncProxyConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral, read back from .port
     burst_interval_s: float = 0.1
-    #: Estimated drain rate used to size slots (bytes/second).
+    #: Estimated drain rate used to size slots, in bits/second (12.5 Mb/s).
     drain_rate_bps: float = 12_500_000.0
     schedule_guard_s: float = 0.002
     slot_gap_s: float = 0.001

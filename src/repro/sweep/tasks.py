@@ -154,7 +154,6 @@ def _replay_early(
     power: Any,
     early_s: float,
     duration_s: Optional[float] = None,
-    client_kwargs: Optional[dict] = None,
 ) -> Any:
     """Replay one early-transition amount over a recorded capture.
 
@@ -170,5 +169,4 @@ def _replay_early(
         AdaptiveCompensator(early_s=early_s),
         power,
         duration_s=duration_s,
-        client_kwargs=client_kwargs,
     )

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Optional, Protocol
 
 from repro.errors import ConfigurationError
 from repro.obs.recorder import Recorder
-from repro.sim.core import Simulator
 from repro.sim.trace import TraceRecorder
+
+
+class Clock(Protocol):
+    """Anything that tells the time: the simulator, or a live client's
+    loop clock."""
+
+    @property
+    def now(self) -> float:
+        """Current time in seconds."""
 
 
 class WnicState(Enum):
@@ -31,24 +39,26 @@ class Wnic:
 
     Tracks the sleep/awake timeline and counts sleep→idle wake-ups,
     whose energy cost the paper models as 2 ms of idle time each.
+    ``clock`` stamps the timeline: the simulator, or the live client's
+    loop clock.
     """
 
     def __init__(
         self,
-        sim: Simulator,
+        clock: Clock,
         owner: str,
         trace: Optional[TraceRecorder] = None,
         start_asleep: bool = False,
         obs: Optional[Recorder] = None,
     ) -> None:
-        self.sim = sim
+        self.clock = clock
         self.owner = owner
         self.obs = obs if obs is not None else Recorder.wrap(trace)
         self.trace = self.obs.trace if trace is None else trace
         self._state = WnicState.SLEEP if start_asleep else WnicState.IDLE
         #: (time, new_state) history; starts with the initial state at t=0.
         self.transitions: list[tuple[float, WnicState]] = [
-            (sim.now, self._state)
+            (clock.now, self._state)
         ]
         self.wake_count = 0
         #: Per target state, the ``wnic.transitions`` counter handle,
@@ -85,14 +95,12 @@ class Wnic:
         return True
 
     def _set_state(self, state: WnicState) -> None:
+        now = self.clock.now
         previous = self.transitions[-1] if self.transitions else None
         self._state = state
-        self.transitions.append((self.sim.now, state))
+        self.transitions.append((now, state))
         to_state = state.value
-        self.obs.event(
-            self.sim.now, "wnic.transition", owner=self.owner,
-            state=to_state,
-        )
+        self.obs.event(now, "wnic.transition", owner=self.owner, state=to_state)
         counter = self._transition_counters.get(to_state)
         if counter is None:
             counter = self._transition_counters[to_state] = (
@@ -105,12 +113,10 @@ class Wnic:
             state == WnicState.SLEEP
             and previous is not None
             and previous[1] != WnicState.SLEEP
-            and self.sim.now > previous[0]
+            and now > previous[0]
         ):
             # One completed awake stretch: render it on the timeline.
-            self.obs.span(
-                previous[0], self.sim.now, "awake", self.owner,
-            )
+            self.obs.span(previous[0], now, "awake", self.owner)
 
     # -- timeline ----------------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.client import SimDriver
+from repro.core.daemon import ClientMachine
 from repro.core.txguard import TransmitWakeGuard
 from repro.net.addr import Endpoint
 from repro.net.udp import UdpSocket
@@ -43,21 +45,28 @@ def test_syn_holds_card_awake_through_handshake():
     assert not guard.busy_connections()
 
 
+class Sleeper(ClientMachine):
+    """A client machine that only runs the sleep rule, on node ``a``."""
+
+    def __init__(self, node, wnic, wake_at):
+        super().__init__(node.ip, node.obs)
+        node.add_interface("wl0")
+        SimDriver(self, node, wnic)
+        self.wake_at = wake_at
+        self.woke = []
+
+    def on_start(self, now):
+        self.sleep_until(now, self.wake_at, self.woke.append)
+
+
 def test_sleep_until_defers_while_handshaking():
     sim, a, b, _link = wire_pair()
     TcpListener(b, 80, lambda conn: None)
     wnic = Wnic(sim, "a", start_asleep=False)
-    guard = TransmitWakeGuard(a, wnic)
     TcpConnection.connect(a, Endpoint("10.0.0.2", 80))
-    slept = []
-
-    def daemon():
-        yield from guard.sleep_until(0.5, min_sleep_gap_s=0.004)
-        slept.append(sim.now)
-
-    sim.process(daemon())
+    sleeper = Sleeper(a, wnic, wake_at=0.5)
     sim.run(until=1.0)
-    assert slept == [pytest.approx(0.5)]
+    assert sleeper.woke == [pytest.approx(0.5)]
     # The card went to sleep only after the handshake completed.
     sleep_transitions = [
         (t, s) for t, s in wnic.transitions if s.value == "sleep"
@@ -69,13 +78,9 @@ def test_sleep_until_defers_while_handshaking():
 def test_sleep_until_short_gap_stays_awake():
     sim, a, b, _link = wire_pair()
     wnic = Wnic(sim, "a")
-    guard = TransmitWakeGuard(a, wnic)
-
-    def daemon():
-        yield from guard.sleep_until(0.002, min_sleep_gap_s=0.004)
-
-    sim.process(daemon())
+    sleeper = Sleeper(a, wnic, wake_at=0.002)
     sim.run(until=0.01)
+    assert sleeper.woke == [pytest.approx(0.002)]
     assert wnic.wake_count == 0  # never cycled
 
 

@@ -33,7 +33,7 @@ def faulty_scenario(plan, n_clients=1, seed=11, interval=0.1):
         handle.daemon = PowerAwareClient(
             handle.node, handle.wnic, AdaptiveCompensator(),
             fallback_after_misses=plan.fallback_after_misses,
-            trace=scenario.trace,
+            obs=scenario.obs,
         )
     return scenario
 

@@ -47,7 +47,7 @@ def run_and_serialize(seed=5, faults=None, until=4.0):
         handle.daemon = PowerAwareClient(
             handle.node, handle.wnic, AdaptiveCompensator(),
             fallback_after_misses=plan.fallback_after_misses,
-            trace=scenario.trace,
+            obs=scenario.obs,
         )
         UdpSocket(handle.node, 5004)
 
