@@ -614,12 +614,12 @@ def cmd_loadtest(args) -> int:
         clients=args.clients,
         requests_per_client=args.requests,
         bytes_per_request=args.bytes,
-        burst_interval_s=parse_interval(args.interval),
         origin_pace_s=args.pace_ms / 1000.0,
         timeout_s=args.timeout,
         plan=plan,
         seed=args.seed,
         proxy=AsyncProxyConfig(
+            burst_interval_s=parse_interval(args.interval),
             queue_high_bytes=args.queue_high,
             queue_low_bytes=min(args.queue_high, args.queue_low),
             silence_timeout_s=args.silence_timeout,

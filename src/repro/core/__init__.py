@@ -7,8 +7,10 @@ Components map one-to-one onto the paper's §3:
 * :mod:`~repro.core.bandwidth_model` — the linear send-cost model built
   from microbenchmarks (§3.2.2 "Bandwidth Constraints");
 * :mod:`~repro.core.queues` — per-client packet queues;
-* :mod:`~repro.core.scheduler` — the dynamic scheduling policy with
-  fixed (100/500 ms) and variable burst intervals;
+* :mod:`~repro.core.planner` — the one slot planner, shared with the
+  live proxy: admission, burst order, fixed (100/500 ms) and variable
+  burst intervals, schedule reuse;
+* :mod:`~repro.core.scheduler` — the planner's simulator driver;
 * :mod:`~repro.core.static_schedule` — the static TDMA comparison
   policy (§4.3, Figure 7);
 * :mod:`~repro.core.burster` — burst transmission with the

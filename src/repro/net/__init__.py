@@ -6,27 +6,36 @@ segments between servers, proxy and access point, and a shared 11 Mbps
 It also provides the supporting machinery the paper relied on: a
 spoofing/NAT table (the IPQ analog), a DummyNet-style traffic shaper,
 and a promiscuous monitoring station (the tcpdump analog).
+
+The names below resolve on first use, so importing one module (the
+pure :mod:`~repro.net.packet`, say) does not load the simulator.
 """
 
-from repro.net.addr import BROADCAST_IP, Endpoint, FlowKey
-from repro.net.link import Link
-from repro.net.medium import WirelessMedium
-from repro.net.node import Interface, Node
-from repro.net.packet import Packet, TcpFlags
-from repro.net.sniffer import FrameRecord, MonitoringStation
-from repro.net.udp import UdpSocket
+from __future__ import annotations
 
-__all__ = [
-    "BROADCAST_IP",
-    "Endpoint",
-    "FlowKey",
-    "FrameRecord",
-    "Interface",
-    "Link",
-    "MonitoringStation",
-    "Node",
-    "Packet",
-    "TcpFlags",
-    "UdpSocket",
-    "WirelessMedium",
-]
+import importlib
+from typing import Any
+
+_HOMES = {
+    name: module
+    for module, names in {
+        "addr": ("BROADCAST_IP", "Endpoint", "FlowKey"),
+        "link": ("Link",),
+        "medium": ("WirelessMedium",),
+        "node": ("Interface", "Node"),
+        "packet": ("Packet", "TcpFlags"),
+        "sniffer": ("FrameRecord", "MonitoringStation"),
+        "udp": ("UdpSocket",),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _HOMES:
+        raise AttributeError(f"module 'repro.net' has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"repro.net.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value

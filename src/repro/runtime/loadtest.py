@@ -51,7 +51,6 @@ class LoadTestConfig:
     clients: int = 8
     requests_per_client: int = 4
     bytes_per_request: int = 64_000
-    burst_interval_s: float = 0.05
     #: Origin pacing; 0 = blast at loopback speed.
     origin_pace_s: float = 0.0
     #: Per-request client timeout.
@@ -59,7 +58,8 @@ class LoadTestConfig:
     #: Optional chaos plan (wall-clock semantics; see repro.runtime.chaos).
     plan: Optional[FaultPlan] = None
     seed: int = 0
-    #: Proxy knob overrides (watermarks, liveness windows, limits).
+    #: The proxy's knobs (burst interval, watermarks, liveness windows,
+    #: limits).
     proxy: AsyncProxyConfig = field(
         default_factory=lambda: AsyncProxyConfig(burst_interval_s=0.05)
     )
@@ -167,7 +167,6 @@ async def run_loadtest(
     config = config or LoadTestConfig()
     recorder = obs if obs is not None else SimRecorder()
     proxy_config = config.proxy
-    proxy_config.burst_interval_s = config.burst_interval_s
 
     origin = SpeedTestOrigin(pace_s=config.origin_pace_s)
     origin_port = await origin.start()
@@ -206,7 +205,7 @@ async def run_loadtest(
             (s.peak_pending for s in proxy._clients.values()), default=0
         )
         jitter = _broadcast_jitter(
-            list(proxy.broadcast_times), config.burst_interval_s
+            list(proxy.broadcast_times), proxy_config.burst_interval_s
         )
     finally:
         if chaos_task is not None:

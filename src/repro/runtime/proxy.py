@@ -10,6 +10,9 @@ buffers the downstream direction into the client's queue. A scheduler
 task broadcasts a schedule datagram to every registered client's UDP
 control port each burst interval, then releases each client's buffered
 bytes at its rendezvous point, ending the burst with a mark datagram.
+The schedule comes from the slot planner the simulator uses
+(:class:`~repro.core.planner.SlotPlanner`); this module is its live
+driver.
 
 This is the paper's §3.2 design with the kernel pieces (bridge, IPQ,
 TOS marking) replaced by the userspace substitutions listed in
@@ -46,7 +49,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.core.schedule import BurstSlot, Schedule
+from repro.core.bandwidth_model import LinearCostModel
+from repro.core.planner import Backlog, SlotPlanner, fits
+from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError, SchedulingError, SocketError
 from repro.obs import BYTES_BUCKETS, NULL_RECORDER, Recorder, SECONDS_BUCKETS
 from repro.runtime.supervisor import TaskSupervisor
@@ -67,6 +72,10 @@ CHUNK = 64 * 1024
 KIND_SCHEDULE = "schedule"
 KIND_MARK = "mark"
 
+#: The planner's price of queued bytes: a 12.5 Mb/s drain and no
+#: per-packet overhead. Loopback has no airtime to calibrate against.
+LIVE_COST_MODEL = LinearCostModel(overhead_s=0.0, per_byte_s=8 / 12.5e6)
+
 
 @dataclass
 class AsyncProxyConfig:
@@ -74,11 +83,8 @@ class AsyncProxyConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral, read back from .port
+    #: Fixed burst interval; the live proxy has no variable interval.
     burst_interval_s: float = 0.1
-    #: Estimated drain rate used to size slots, in bits/second (12.5 Mb/s).
-    drain_rate_bps: float = 12_500_000.0
-    schedule_guard_s: float = 0.002
-    slot_gap_s: float = 0.001
 
     # -- admission / backpressure -----------------------------------------
     #: Hard cap on simultaneously registered clients.
@@ -120,6 +126,15 @@ class AsyncProxyConfig:
     drain_timeout_s: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.burst_interval_s is None:
+            raise ConfigurationError(
+                "the live proxy needs a fixed burst interval, not 'variable'"
+            )
+        if not fits(LIVE_COST_MODEL, self.burst_interval_s, 1):
+            raise ConfigurationError(
+                f"burst interval {self.burst_interval_s}s is too short "
+                "for one slot"
+            )
         if self.queue_low_bytes > self.queue_high_bytes:
             raise ConfigurationError(
                 f"queue_low_bytes {self.queue_low_bytes} must not exceed "
@@ -256,7 +271,9 @@ class AsyncProxy:
         self._buffered_bytes = 0
         self._global_writable = asyncio.Event()
         self._global_writable.set()
-        self._seq = 0
+        self._planner = SlotPlanner(
+            LIVE_COST_MODEL, self.config.burst_interval_s
+        )
         self._planned_srp: Optional[float] = None
         self._epoch = 0.0
 
@@ -690,7 +707,6 @@ class AsyncProxy:
 
     async def _scheduler(self) -> None:
         """One supervised scheduling loop iteration per burst interval."""
-        interval = self.config.burst_interval_s
         while True:
             srp = self._now()
             if self._planned_srp is not None:
@@ -699,15 +715,14 @@ class AsyncProxy:
                     max(0.0, srp - self._planned_srp),
                     buckets=SECONDS_BUCKETS,
                 )
-            schedule = self._build_schedule(self._seq, srp)
+            schedule = self._build_schedule(srp)
             self._broadcast(schedule)
             self.broadcast_times.append(srp)
             self.schedules_sent += 1
-            self._seq += 1
-            self._planned_srp = srp + interval
+            self._planned_srp = schedule.next_srp
             self.obs.inc("proxy.schedules_broadcast")
             self.obs.span(
-                self._rel(srp), self._rel(srp + interval), "interval",
+                self._rel(srp), self._rel(schedule.next_srp), "interval",
                 "proxy", seq=schedule.seq, slots=len(schedule.slots),
             )
             for slot in schedule.slots:
@@ -726,16 +741,18 @@ class AsyncProxy:
                     buckets=SECONDS_BUCKETS,
                     client=slot.client_ip,
                 )
-                await self._burst(state, self._seq)
-            remaining = srp + interval - self._now()
+                await self._burst(state, schedule.seq)
+            remaining = schedule.next_srp - self._now()
             if remaining > 0:
                 await asyncio.sleep(remaining)
 
-    def _build_schedule(self, seq: int, srp: float) -> Schedule:
-        """One interval's slots, at absolute times on the loop clock."""
-        config = self.config
-        slots = []
-        cursor = config.schedule_guard_s
+    def _build_schedule(self, srp: float) -> Schedule:
+        """Snapshot the queues and plan one interval on the loop clock.
+
+        Queued bytes are planned as TCP backlog. The slot allotments are
+        advisory: a burst still sends the client's whole queue.
+        """
+        backlogs = []
         for client_id in sorted(self._clients):
             state = self._clients[client_id]
             self.obs.observe(
@@ -744,22 +761,9 @@ class AsyncProxy:
                 buckets=BYTES_BUCKETS,
                 client=client_id,
             )
-            if state.bytes_pending <= 0 or state.silenced:
-                continue
-            duration = state.bytes_pending * 8.0 / config.drain_rate_bps
-            slots.append(
-                BurstSlot(
-                    client_ip=client_id,
-                    rendezvous=srp + cursor,
-                    duration=duration,
-                    bytes_allotted=state.bytes_pending,
-                )
-            )
-            cursor += duration + config.slot_gap_s
-        return Schedule(
-            seq=seq, srp=srp, next_srp=srp + config.burst_interval_s,
-            slots=tuple(slots),
-        )
+            if state.bytes_pending > 0 and not state.silenced:
+                backlogs.append(Backlog(client_id, 0, state.bytes_pending))
+        return self._planner.plan(srp, backlogs).schedule
 
     def _broadcast(self, schedule: Schedule) -> None:
         payload = encode_schedule(schedule)

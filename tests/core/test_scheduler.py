@@ -70,7 +70,7 @@ class TestFixedSchedules:
         scheduler = make_scheduler(scenario, interval_s=0.1)
         schedule = scheduler.build_schedule(srp=0.0)
         assert schedule.slots[-1].end <= schedule.next_srp
-        model = scheduler.cost_model
+        model = scheduler.planner.cost_model
         total_cost = sum(
             model.burst_cost(slot.bytes_allotted) for slot in schedule.slots
         )
@@ -78,17 +78,13 @@ class TestFixedSchedules:
 
     def test_interval_too_small_raises(self):
         scenario = make_proxy_with_queues({client_ip(0): 1000})
-        scheduler = make_scheduler(scenario, interval_s=0.002)
         with pytest.raises(SchedulingError):
-            scheduler.build_schedule(srp=0.0)
+            make_scheduler(scenario, interval_s=0.002)
 
     def test_bad_interval_bounds_rejected(self):
         scenario = make_proxy_with_queues({})
         with pytest.raises(SchedulingError):
             make_scheduler(scenario, interval_s=-0.5)
-        with pytest.raises(SchedulingError):
-            make_scheduler(scenario, interval_s=None, min_interval_s=0.5,
-                           max_interval_s=0.1)
 
 
 class TestVariableSchedules:
@@ -166,7 +162,6 @@ class TestScheduleProperties:
         )
         scheduler = make_scheduler(scenario, interval_s=0.5)
         first = scheduler.build_schedule(srp=0.0)
-        scheduler.seq += 1
         second = scheduler.build_schedule(srp=0.5)
         assert [s.client_ip for s in first.slots] != [
             s.client_ip for s in second.slots

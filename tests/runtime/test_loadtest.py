@@ -56,7 +56,6 @@ class TestLoadTest:
             clients=50,
             requests_per_client=1,
             bytes_per_request=16_000,
-            burst_interval_s=0.05,
             timeout_s=60.0,
         )
         report = run_strict(
@@ -85,7 +84,6 @@ class TestLoadTest:
             clients=4,
             requests_per_client=30,
             bytes_per_request=8_000,
-            burst_interval_s=0.05,
             timeout_s=30.0,
             plan=plan,
             proxy=AsyncProxyConfig(

@@ -12,6 +12,7 @@ import socket
 
 import pytest
 
+from repro.cli import main
 from repro.core.schedule import BurstSlot, Schedule
 from repro.errors import ConfigurationError, OverloadError, ProxyProtocolError
 from repro.obs import SimRecorder
@@ -25,6 +26,7 @@ from repro.runtime.proxy import (
     AsyncProxy,
     AsyncProxyConfig,
 )
+from repro.runtime.wire import decode_control
 
 from tests.runtime.conftest import run_strict
 
@@ -55,6 +57,17 @@ class TestConfigValidation:
     def test_evict_window_must_cover_silence_window(self):
         with pytest.raises(ConfigurationError):
             AsyncProxyConfig(silence_timeout_s=5.0, evict_timeout_s=1.0)
+
+    @pytest.mark.parametrize("interval", ["variable", "1ms"])
+    def test_interval_the_planner_cannot_serve_is_refused(
+        self, interval, capsys
+    ):
+        """No variable interval, and none too short for one slot: the
+        loadtest exits with a usage error before any socket opens."""
+        with pytest.raises(SystemExit) as refused:
+            main(["loadtest", "--clients", "1", "--interval", interval])
+        assert refused.value.code == 2
+        assert "burst interval" in capsys.readouterr().err
 
 
 class TestLiveProxy:
@@ -217,9 +230,9 @@ class TestLiveProxy:
             proxy = AsyncProxy(_fast_config(), obs=recorder)
             await proxy.start()
 
-            def haunted_schedule(seq, srp):
+            def haunted_schedule(srp):
                 return Schedule(
-                    seq=seq, srp=srp,
+                    seq=0, srp=srp,
                     next_srp=srp + proxy.config.burst_interval_s,
                     slots=(BurstSlot("never-registered", srp + 0.001, 0.001, 64),),
                 )
@@ -298,6 +311,50 @@ class TestLiveProxy:
         assert len(payload) == 60_000
         assert client.marks_heard == 0
         assert client.schedules_heard > 0
+
+    def test_each_mark_carries_its_schedules_seq(self):
+        """A burst's mark names the schedule whose slot it ends."""
+
+        async def scenario():
+            origin = SpeedTestOrigin()
+            origin_port = await origin.start()
+            proxy = AsyncProxy(_fast_config())
+            await proxy.start()
+            sent = []
+
+            def capture(payload, addr, kind):
+                sent.append(decode_control(payload))
+                return True
+
+            proxy.control_filter = capture
+            clients = [AsyncPowerClient(f"seq-{i}") for i in range(2)]
+            for client in clients:
+                await client.start()
+            try:
+                await asyncio.gather(*(
+                    client.fetch(
+                        "127.0.0.1", proxy.port, ("127.0.0.1", origin_port),
+                        request=b"GET 300000\n", expect_bytes=300_000,
+                    )
+                    for client in clients
+                ))
+            finally:
+                await proxy.stop()
+                for client in clients:
+                    client.stop()
+                await origin.stop()
+            return sent
+
+        sent = run_strict(scenario())
+        marks = 0
+        current = None
+        for datagram in sent:
+            if datagram["type"] == "schedule":
+                current = datagram["seq"]
+            else:
+                assert datagram["seq"] == current, datagram
+                marks += 1
+        assert marks > 0
 
 
 class TestTeardown:
