@@ -2,7 +2,8 @@
 
 Every benchmark prints the paper-style rows *and* persists them as JSON
 under ``benchmarks/results/`` so EXPERIMENTS.md can be regenerated and
-diffed without re-running the sweeps.
+diffed without re-running the sweeps. :func:`check_claims` asserts the
+bounds of the rows' entry in :mod:`repro.experiments.claims`.
 
 Two files per benchmark:
 
@@ -17,7 +18,10 @@ from __future__ import annotations
 import json
 import pathlib
 from datetime import datetime, timezone
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
+
+from repro.experiments.claims import Entry, normalize
+from repro.experiments.report_gen import claims_table, format_cell
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -83,11 +87,11 @@ def load_trajectory(name: str) -> list[dict]:
     return history if isinstance(history, list) else []
 
 
-def print_table(title: str, rows: list[dict], columns: list[str]) -> None:
+def print_table(title: str, rows: list[dict], columns: Sequence[str]) -> None:
     """Print rows as a fixed-width table (the paper-figure data)."""
     print(f"\n=== {title} ===")
     widths = {
-        col: max(len(col), *(len(_fmt(row.get(col))) for row in rows))
+        col: max(len(col), *(len(format_cell(row.get(col))) for row in rows))
         for col in columns
     }
     header = "  ".join(col.ljust(widths[col]) for col in columns)
@@ -95,13 +99,23 @@ def print_table(title: str, rows: list[dict], columns: list[str]) -> None:
     print("-" * len(header))
     for row in rows:
         print(
-            "  ".join(_fmt(row.get(col)).ljust(widths[col]) for col in columns)
+            "  ".join(
+                format_cell(row.get(col)).ljust(widths[col]) for col in columns
+            )
         )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.1f}"
-    if isinstance(value, dict):
-        return " ".join(f"{k}:{_fmt(v)}" for k, v in value.items())
-    return str(value)
+def check_claims(entry: Entry, rows: Any) -> None:
+    """Print the entry's rows and claims; fail on any claim whose bound
+    does not hold (or whose value the rows lack)."""
+    listed = normalize(rows)
+    for view in entry.views:
+        print_table(entry.title, listed, view.columns)
+    verdicts = entry.evaluate(listed)
+    print("\n".join(claims_table(verdicts)))
+    failed = [
+        f"{v.claim.id}: {v.claim.text} = {v.measured!r}, bound {v.bound}"
+        for v in verdicts
+        if not v.bound_holds
+    ]
+    assert not failed, f"{entry.name} claims fail: " + "; ".join(failed)

@@ -3,7 +3,7 @@
 Runs one live 100 ms experiment, captures the wireless trace, then
 replays the capture offline against different early-transition amounts
 — the way the paper's §4.1 simulator actually produced Figure 6 — and
-checks the offline sweep agrees with the live behaviour.
+checks the ``replay_sweep`` claims of :mod:`repro.experiments.claims`.
 """
 
 from repro.core.bandwidth_model import calibrate
@@ -11,6 +11,7 @@ from repro.core.client import PowerAwareClient
 from repro.core.delay_comp import AdaptiveCompensator
 from repro.core.scheduler import DynamicScheduler
 from repro.energy.replay import sweep_early_amounts
+from repro.experiments.claims import BY_NAME
 from repro.experiments.scenarios import (
     ScenarioConfig,
     VIDEO_SERVER_IP,
@@ -27,7 +28,7 @@ from repro.workloads.video import (
     VideoStreamConfig,
 )
 
-from benchmarks.bench_utils import print_table, save_results
+from benchmarks.bench_utils import check_claims, save_results
 
 
 def run_capture_and_sweep():
@@ -79,21 +80,4 @@ def run_capture_and_sweep():
 def test_bench_replay_sweep(benchmark):
     rows = benchmark.pedantic(run_capture_and_sweep, rounds=1, iterations=1)
     save_results("replay_sweep", rows)
-    print_table("Postmortem replay sweep (§4.1 methodology)", rows, [
-        "early_ms", "replay_saved_pct", "replay_missed_schedules",
-        "replay_frames_missed", "replay_early_wait_s",
-    ])
-
-    by_early = {r["early_ms"]: r for r in rows}
-    # Zero early amount misses the most; larger amounts idle more.
-    assert (
-        by_early[0.0]["replay_frames_missed"]
-        >= by_early[6.0]["replay_frames_missed"]
-    )
-    assert (
-        by_early[10.0]["replay_early_wait_s"]
-        > by_early[2.0]["replay_early_wait_s"]
-    )
-    # All replays still save substantial energy.
-    for row in rows:
-        assert row["replay_saved_pct"] > 50.0
+    check_claims(BY_NAME["replay_sweep"], rows)

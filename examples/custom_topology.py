@@ -22,7 +22,8 @@ from repro.net.medium import WirelessMedium
 from repro.net.node import Node
 from repro.net.sniffer import MonitoringStation
 from repro.net.udp import UdpSocket
-from repro.sim import RngStreams, Simulator, TraceRecorder
+from repro.obs.recorder import SimRecorder
+from repro.sim import RngStreams, Simulator
 from repro.units import mbps, ms
 from repro.wnic import WAVELAN_2_4GHZ, Wnic
 
@@ -30,24 +31,24 @@ from repro.wnic import WAVELAN_2_4GHZ, Wnic
 def main() -> None:
     sim = Simulator()
     streams = RngStreams(seed=42)
-    trace = TraceRecorder()
+    obs = SimRecorder()
 
     # -- wireless cell ----------------------------------------------------
-    medium = WirelessMedium(sim, rng=streams.get("backoff"), trace=trace)
+    medium = WirelessMedium(sim, rng=streams.get("backoff"), obs=obs)
     ap = AccessPoint(sim, "ap", "10.0.0.254", rng=streams.get("ap"))
     medium.attach(ap.wireless, gateway=True)
     monitor = MonitoringStation(sim)
     monitor.attach_to(medium)
 
     # -- client -----------------------------------------------------------
-    client = Node(sim, "tablet", "10.0.1.1", trace=trace)
+    client = Node(sim, "tablet", "10.0.1.1", obs=obs)
     wl0 = client.add_interface("wl0")
     medium.attach(wl0)
     client.set_default_route(wl0)
-    wnic = Wnic(sim, "tablet", trace=trace)
+    wnic = Wnic(sim, "tablet", obs=obs)
 
     # -- proxy + server ---------------------------------------------------
-    proxy = TransparentProxy(sim, "proxy", "10.0.0.1", {"10.0.1.1"}, trace=trace)
+    proxy = TransparentProxy(sim, "proxy", "10.0.0.1", {"10.0.1.1"}, obs=obs)
     Link(sim, mbps(100), ms(0.1)).attach(proxy.air, ap.wired)
     server = Node(sim, "server", "10.0.2.1")
     server_iface = server.add_interface("eth0")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable
+from typing import Any
 
 from repro._version import __version__
 from repro.errors import ConfigurationError
@@ -32,16 +32,10 @@ from repro.errors import ConfigurationError
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, float):
-        return f"{value:.1f}"
-    if isinstance(value, dict):
-        return " ".join(f"{k}:{_fmt(v)}" for k, v in value.items())
-    return str(value)
-
-
 def print_rows(rows: list[dict], as_json: bool) -> None:
     """Print result rows as a table or JSON."""
+    from repro.experiments.report_gen import format_cell
+
     if as_json:
         json.dump(rows, sys.stdout, indent=2, default=str)
         print()
@@ -51,12 +45,16 @@ def print_rows(rows: list[dict], as_json: bool) -> None:
         return
     columns = list(rows[0].keys())
     widths = {
-        col: max(len(col), *(len(_fmt(r.get(col))) for r in rows))
+        col: max(len(col), *(len(format_cell(r.get(col))) for r in rows))
         for col in columns
     }
     print("  ".join(col.ljust(widths[col]) for col in columns))
     for row in rows:
-        print("  ".join(_fmt(row.get(col)).ljust(widths[col]) for col in columns))
+        print(
+            "  ".join(
+                format_cell(row.get(col)).ljust(widths[col]) for col in columns
+            )
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -386,52 +384,27 @@ def cmd_trace(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    from repro.experiments import figures
+    from repro.experiments.claims import commands
 
     engine = build_engine(args)
+    kwargs: dict[str, Any] = {}
     if args.number == "pareto":
         from repro.core.policy import POLICY_NAMES
 
-        policies = (
+        kwargs["policies"] = (
             POLICY_NAMES if args.policy == "all" else (args.policy,)
         )
-        rows = figures.pareto(
-            seed=args.seed, quick=args.quick, policies=policies,
-            engine=engine,
-        )
-    else:
-        driver: Callable = {
-            "4": figures.figure4,
-            "5": figures.figure5,
-            "6": figures.figure6,
-            "7": figures.figure7,
-            "campus": figures.campus_grid,
-        }[args.number]
-        rows = driver(seed=args.seed, quick=args.quick, engine=engine)
+    driver = commands("figure")[args.number].load_driver()
+    rows = driver(seed=args.seed, quick=args.quick, engine=engine, **kwargs)
     print_rows(rows, args.json)
     _print_engine_summary(engine, args.json)
     return 0
 
 
-TABLE_DRIVERS = {
-    "tcp-only": "tcp_only",
-    "optimal": "optimal_comparison",
-    "static-dynamic": "static_vs_dynamic",
-    "drops-netfilter": "drop_effect_netfilter",
-    "drops-dummynet": "drop_effect_dummynet",
-    "memory": "memory_footprint",
-    "reuse": "schedule_reuse",
-    "ablation": "split_connection_ablation",
-    "psm": "psm_comparison",
-}
-
-
 def cmd_table(args) -> int:
-    from repro.experiments import baselines, tables
+    from repro.experiments.claims import commands
 
-    name = TABLE_DRIVERS[args.name]
-    module = baselines if args.name == "psm" else tables
-    driver = getattr(module, name)
+    driver = commands("table")[args.name].load_driver()
     engine = build_engine(args)
     rows = driver(seed=args.seed, quick=args.quick, engine=engine)
     if isinstance(rows, dict):
@@ -652,6 +625,8 @@ def cmd_loadtest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.claims import commands
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -813,9 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figure",
         help="regenerate a paper figure (or the policy 'pareto' extension)",
     )
-    figure.add_argument(
-        "number", choices=("4", "5", "6", "7", "pareto", "campus")
-    )
+    figure.add_argument("number", choices=tuple(commands("figure")))
     figure.add_argument("--quick", action="store_true")
     figure.add_argument("--seed", type=int, default=1)
     figure.add_argument(
@@ -828,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.set_defaults(func=cmd_figure)
 
     table = sub.add_parser("table", help="regenerate a paper table/ablation")
-    table.add_argument("name", choices=sorted(TABLE_DRIVERS))
+    table.add_argument("name", choices=sorted(commands("table")))
     table.add_argument("--quick", action="store_true")
     table.add_argument("--seed", type=int, default=1)
     table.add_argument("--json", action="store_true")

@@ -24,11 +24,10 @@ from repro.core.schedule import BurstSlot
 from repro.net.packet import Packet
 from repro.net.tcp import TcpConnection
 from repro.obs.metrics import RATIO_BUCKETS
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
-    from repro.sim.trace import TraceRecorder
 
 
 class MarkingController:
@@ -93,12 +92,10 @@ class Burster:
     def __init__(
         self,
         node: "Node",
-        trace: Optional["TraceRecorder"] = None,
         obs: Optional[Recorder] = None,
     ):
         self.node = node
-        self.obs = obs if obs is not None else Recorder.wrap(trace)
-        self.trace = self.obs.trace if trace is None else trace
+        self.obs = obs if obs is not None else NULL_RECORDER
         self._controllers: dict[TcpConnection, MarkingController] = {}
         self.bursts_sent = 0
         self.bytes_burst = 0
@@ -128,31 +125,8 @@ class Burster:
         the marking protocol for TCP).
         """
         entries = queue.pop_up_to(slot.bytes_allotted)
-        entries = [entry for entry in entries if self._is_sendable(entry)]
-        # A TCP credit is only handed over to the extent the socket can
-        # emit it *right now* (window room): anything buffered inside
-        # the socket would otherwise dribble out on ACKs after the
-        # client's slot — usually straight into a sleeping WNIC.
-        leftovers: list[QueueEntry] = []
-        sendable: list[tuple[QueueEntry, int]] = []
-        for entry in entries:
-            if entry.kind == "udp":
-                sendable.append((entry, entry.nbytes))
-                continue
-            conn = entry.connection
-            room = max(0, conn.send_window - conn.bytes_in_flight - conn.unsent_bytes)
-            chunk = min(entry.nbytes, room)
-            if chunk > 0:
-                sendable.append((entry, chunk))
-            if chunk < entry.nbytes:
-                leftovers.append(
-                    QueueEntry(
-                        "tcp", entry.nbytes - chunk, connection=conn,
-                        enqueued_at=entry.enqueued_at,
-                    )
-                )
-        for leftover in reversed(leftovers):
-            queue.push_front(leftover)
+        entries = [entry for entry in entries if self.is_sendable(entry)]
+        sendable = self.window_capped(queue, entries)
         if not sendable:
             return 0
         sent = 0
@@ -194,7 +168,43 @@ class Burster:
         return sent
 
     @staticmethod
-    def _is_sendable(entry: QueueEntry) -> bool:
+    def window_capped(
+        queue: ClientQueue, entries: list[QueueEntry]
+    ) -> list[tuple[QueueEntry, int]]:
+        """The ``(entry, bytes)`` to send now from ``entries``, in order.
+
+        A TCP credit is only handed over to the extent the socket can
+        emit it *right now* (window room): anything buffered inside the
+        socket would otherwise dribble out on ACKs after the client's
+        slot — usually straight into a sleeping WNIC. The rest of each
+        credit goes back to the head of ``queue`` in FIFO order, keeping
+        its enqueue stamp.
+        """
+        leftovers: list[QueueEntry] = []
+        sendable: list[tuple[QueueEntry, int]] = []
+        for entry in entries:
+            if entry.kind == "udp":
+                sendable.append((entry, entry.nbytes))
+                continue
+            conn = entry.connection
+            room = max(0, conn.send_window - conn.bytes_in_flight - conn.unsent_bytes)
+            chunk = min(entry.nbytes, room)
+            if chunk > 0:
+                sendable.append((entry, chunk))
+            if chunk < entry.nbytes:
+                leftovers.append(
+                    QueueEntry(
+                        "tcp", entry.nbytes - chunk, connection=conn,
+                        enqueued_at=entry.enqueued_at,
+                    )
+                )
+        for leftover in reversed(leftovers):
+            queue.push_front(leftover)
+        return sendable
+
+    @staticmethod
+    def is_sendable(entry: QueueEntry) -> bool:
+        """False for a credit whose connection closed or is closing."""
         if entry.kind == "udp":
             return True
         connection = entry.connection

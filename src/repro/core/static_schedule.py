@@ -169,28 +169,16 @@ class StaticScheduler:
                     ip, stall_threshold_s=1.5 * layout.interval
                 )
                 queue = self.proxy.queue_for(ip)
-                entries = queue.pop_up_to(budget, kind="tcp")
-                for entry in entries:
-                    conn = entry.connection
-                    if conn.state == "CLOSED" or conn.fin_offset is not None:
-                        continue
-                    room = max(
-                        0, conn.send_window - conn.bytes_in_flight - conn.unsent_bytes
+                burster = self.proxy.burster
+                entries = [
+                    entry for entry in queue.pop_up_to(budget, kind="tcp")
+                    if burster.is_sendable(entry)
+                ]
+                for entry, chunk in burster.window_capped(queue, entries):
+                    burster.controller_for(entry.connection).hand_bytes(
+                        chunk, mark_last=False
                     )
-                    chunk = min(entry.nbytes, room)
-                    if chunk > 0:
-                        self.proxy.burster.controller_for(conn).hand_bytes(
-                            chunk, mark_last=False
-                        )
-                        budget -= chunk
-                    if chunk < entry.nbytes:
-                        from repro.core.queues import QueueEntry
-
-                        queue.push_front(
-                            QueueEntry(
-                                "tcp", entry.nbytes - chunk, connection=conn
-                            )
-                        )
+                    budget -= chunk
                 self.proxy.finish_drained_splits(ip)
         for slot in layout.slots:
             at = start + slot.offset

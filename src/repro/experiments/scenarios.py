@@ -102,7 +102,6 @@ class Scenario:
     config: ScenarioConfig
     sim: Simulator
     streams: RngStreams
-    trace: Optional[TraceRecorder]
     medium: WirelessMedium
     ap: AccessPoint
     proxy: TransparentProxy
@@ -175,7 +174,6 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
         recorder = NULL_RECORDER
     else:
         raise ConfigurationError(f"unknown obs_mode: {config.obs_mode!r}")
-    trace = recorder.trace
     counters = FaultCounters()
 
     #: Per-cell initial client partition (round-robin by index).
@@ -304,7 +302,6 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
             medium=cells[0].medium,
             streams=streams,
             ip_of=client_ip,
-            trace=trace,
         ).install()
         for cell in cells[1:]:
             cell.medium.faults = cells[0].medium.faults
@@ -352,7 +349,6 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
         config=config,
         sim=sim,
         streams=streams,
-        trace=trace,
         medium=cells[0].medium,
         ap=cells[0].ap,
         proxy=cells[0].proxy,

@@ -22,7 +22,6 @@ from repro.net.packet import Packet
 from repro.obs.metrics import DEPTH_BUCKETS
 from repro.obs.recorder import Recorder
 from repro.sim.core import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.units import ms, us
 
 #: Default mean of the exponential forwarding jitter.
@@ -80,14 +79,13 @@ class AccessPoint(Node):
         name: str,
         ip: str,
         rng: Optional[np.random.Generator] = None,
-        trace: Optional[TraceRecorder] = None,
         base_delay_s: float = DEFAULT_BASE_DELAY_S,
         jitter_mean_s: float = DEFAULT_JITTER_MEAN_S,
         spike_prob: float = DEFAULT_SPIKE_PROB,
         spike_max_s: float = DEFAULT_SPIKE_MAX_S,
         obs: Optional[Recorder] = None,
     ) -> None:
-        super().__init__(sim, name, ip, trace=trace, obs=obs)
+        super().__init__(sim, name, ip, obs=obs)
         self.forwarding = True
         self.rng = rng
         self.base_delay_s = base_delay_s

@@ -31,9 +31,8 @@ from repro.faults.counters import FaultCounters
 from repro.net.node import Interface
 from repro.net.packet import Packet
 from repro.obs.metrics import BYTES_BUCKETS
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.core import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.units import ms, transmit_time
 
 #: Default nominal channel rate (802.11b).
@@ -57,7 +56,6 @@ class WirelessMedium:
         frame_overhead_s: float = DEFAULT_FRAME_OVERHEAD_S,
         max_backoff_s: float = DEFAULT_MAX_BACKOFF_S,
         rng: Optional[np.random.Generator] = None,
-        trace: Optional[TraceRecorder] = None,
         drop: Optional[Callable[[Packet], bool]] = None,
         counters: Optional[FaultCounters] = None,
         obs: Optional[Recorder] = None,
@@ -69,8 +67,7 @@ class WirelessMedium:
         self.frame_overhead_s = frame_overhead_s
         self.max_backoff_s = max_backoff_s
         self.rng = rng
-        self.obs = obs if obs is not None else Recorder.wrap(trace)
-        self.trace = self.obs.trace if trace is None else trace
+        self.obs = obs if obs is not None else NULL_RECORDER
         self.drop = drop
         self.counters = counters if counters is not None else FaultCounters()
         #: Optional fault-injection pipeline (see :mod:`repro.faults`);

@@ -15,11 +15,10 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.errors import AddressError, NetworkError, SocketError
 from repro.net.addr import Endpoint
 from repro.net.packet import Packet
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
-    from repro.sim.trace import TraceRecorder
 
 #: A tap inspects ``(packet, interface)`` and returns True to consume the
 #: packet (stop all further processing) or False to let it continue.
@@ -77,7 +76,6 @@ class Node:
         sim: "Simulator",
         name: str,
         ip: str,
-        trace: Optional["TraceRecorder"] = None,
         obs: Optional[Recorder] = None,
     ) -> None:
         if not ip:
@@ -85,10 +83,7 @@ class Node:
         self.sim = sim
         self.name = name
         self.ip = ip
-        # The recorder is the instrumentation funnel; ``trace`` is kept
-        # as a bare-TraceRecorder convenience (wrapped on the spot).
-        self.obs = obs if obs is not None else Recorder.wrap(trace)
-        self.trace = self.obs.trace if trace is None else trace
+        self.obs = obs if obs is not None else NULL_RECORDER
         self.interfaces: dict[str, Interface] = {}
         self.forwarding = False
         self.taps: list[Tap] = []

@@ -126,19 +126,6 @@ class Recorder:
         """Completed spans in emission order."""
         return ()
 
-    @staticmethod
-    def wrap(trace: Optional[TraceRecorder]) -> "Recorder":
-        """Adapt a bare trace argument to a recorder.
-
-        Components accept either a full recorder or (for backward
-        compatibility) a plain :class:`TraceRecorder`; ``wrap`` turns
-        the latter into a :class:`SimRecorder` and ``None`` into the
-        shared no-op recorder.
-        """
-        if trace is None:
-            return NULL_RECORDER
-        return SimRecorder(trace=trace)
-
 
 class NullRecorder(Recorder):
     """Discards everything; all hooks are no-ops."""

@@ -11,13 +11,12 @@ named, seeded streams (:class:`~repro.sim.random.RngStreams`).
 from repro.sim.core import Event, Simulator, Timeout
 from repro.sim.process import Process
 from repro.sim.random import RngStreams
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "Event",
     "Process",
-    "Resource",
     "RngStreams",
     "Simulator",
     "Store",

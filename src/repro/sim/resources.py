@@ -1,9 +1,8 @@
 """Waitable resources for simulation processes.
 
 :class:`Store` is an unbounded (or capacity-bounded) FIFO of items with
-event-returning ``put``/``get``; :class:`Resource` is a counting
-semaphore. Both hand out items/slots in strict request order, which keeps
-simulations deterministic.
+event-returning ``put``/``get``. It hands out items in strict request
+order, which keeps simulations deterministic.
 """
 
 from __future__ import annotations
@@ -96,39 +95,3 @@ class Store:
             putter, item = self._putters.popleft()
             self._items.append(item)
             putter.succeed(None)
-
-
-class Resource:
-    """Counting semaphore granting slots in request order."""
-
-    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity!r}")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently held slots."""
-        return self._in_use
-
-    def acquire(self) -> Event:
-        """Request a slot; the returned event fires once granted."""
-        event = self.sim.event()
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed(None)
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Return a slot, waking the longest-waiting requester if any."""
-        if self._in_use <= 0:
-            raise SimulationError("release() without a matching acquire()")
-        if self._waiters:
-            self._waiters.popleft().succeed(None)
-        else:
-            self._in_use -= 1

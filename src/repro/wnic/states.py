@@ -6,8 +6,7 @@ from enum import Enum
 from typing import Any, Optional, Protocol
 
 from repro.errors import ConfigurationError
-from repro.obs.recorder import Recorder
-from repro.sim.trace import TraceRecorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 
 
 class Clock(Protocol):
@@ -47,14 +46,12 @@ class Wnic:
         self,
         clock: Clock,
         owner: str,
-        trace: Optional[TraceRecorder] = None,
         start_asleep: bool = False,
         obs: Optional[Recorder] = None,
     ) -> None:
         self.clock = clock
         self.owner = owner
-        self.obs = obs if obs is not None else Recorder.wrap(trace)
-        self.trace = self.obs.trace if trace is None else trace
+        self.obs = obs if obs is not None else NULL_RECORDER
         self._state = WnicState.SLEEP if start_asleep else WnicState.IDLE
         #: (time, new_state) history; starts with the initial state at t=0.
         self.transitions: list[tuple[float, WnicState]] = [

@@ -173,3 +173,50 @@ class TestStaticExecution:
             )
 
         assert run("static") < run("dynamic")
+
+
+class _WindowLimitedConnection:
+    """A client-side TCP connection with ``room`` bytes of send window."""
+
+    state = "ESTABLISHED"
+    fin_offset = None
+    bytes_in_flight = 0
+    unsent_bytes = 0
+    snd_nxt = snd_una = 0
+
+    def __init__(self, room):
+        self.send_window = room
+        self.app_limit = 0
+        self.on_segment_tx = None
+
+    def send(self, nbytes):
+        self.app_limit += nbytes
+        self.unsent_bytes += nbytes
+
+
+class TestStaticTcpSlot:
+    def test_window_leftovers_keep_their_stamp_and_fifo_order(self):
+        scenario = build_scenario(ScenarioConfig(n_clients=2, seed=3))
+        web = client_ip(1)
+        layout = build_layout(
+            [client_ip(0)], interval_s=0.5, tcp_weight=0.1, tcp_clients=[web]
+        )
+        scheduler = StaticScheduler(
+            scenario.proxy, calibrate(scenario.medium), layout
+        )
+        queue = scenario.proxy.queue_for(web)
+        first = _WindowLimitedConnection(room=1000)
+        second = _WindowLimitedConnection(room=1000)
+        scenario.sim.run(until=1.0)
+        queue.push_tcp(first, 3000)
+        scenario.sim.run(until=2.0)
+        queue.push_tcp(second, 3000)
+
+        next(scheduler._serve_interval(scenario.sim.now))
+
+        assert (first.app_limit, second.app_limit) == (1000, 1000)
+        leftovers = queue.pop_up_to(10_000, kind="tcp")
+        assert [
+            (entry.connection, entry.nbytes, entry.enqueued_at)
+            for entry in leftovers
+        ] == [(first, 2000, 1.0), (second, 2000, 2.0)]

@@ -75,8 +75,8 @@ class TestScheduleBlackoutFallback:
         # ...and resynchronized once the channel returned.
         assert daemon.resyncs == daemon.fallbacks
         assert not daemon.in_fallback
-        assert scenario.trace.count("client.fallback") >= 1
-        assert scenario.trace.count("client.resync") >= 1
+        assert scenario.obs.trace.count("client.fallback") >= 1
+        assert scenario.obs.trace.count("client.resync") >= 1
 
     def test_client_sleeps_again_after_resync(self):
         scenario = faulty_scenario(self.PLAN)
@@ -124,8 +124,8 @@ class TestSlotReclamation:
         assert scheduler.slots_reclaimed >= 1
         # ...and handed back once its uplink was heard again.
         assert scheduler.slots_restored >= 1
-        assert scenario.trace.count("scheduler.reclaim") >= 1
-        assert scenario.trace.count("scheduler.restore") >= 1
+        assert scenario.obs.trace.count("scheduler.reclaim") >= 1
+        assert scenario.obs.trace.count("scheduler.restore") >= 1
         # the departed radio showed up in the fault accounting
         assert scenario.counters.get("faults.churn") > 0
         assert scenario.counters.get("faults.churn_miss") > 0
@@ -136,7 +136,7 @@ class TestSlotReclamation:
             uplink_feed(scenario, index, until=6.0)
         scenario.sim.run(until=6.0)
         # client 1 never churned, so only client 0 was ever reclaimed
-        reclaims = list(scenario.trace.query("scheduler.reclaim"))
+        reclaims = list(scenario.obs.trace.query("scheduler.reclaim"))
         assert {r.fields["client"] for r in reclaims} == {client_ip(0)}
 
     def test_reclamation_disabled_by_default(self):

@@ -66,7 +66,7 @@ def run_and_serialize(seed=5, faults=None, until=4.0):
     payload = json.dumps(
         [
             [row.time, row.category, sorted(row.fields.items(), key=str)]
-            for row in scenario.trace.all()
+            for row in scenario.obs.trace.all()
         ],
         default=repr,
         sort_keys=True,

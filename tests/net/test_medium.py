@@ -8,7 +8,8 @@ from repro.net.medium import WirelessMedium
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.udp import UdpSocket
-from repro.sim import RngStreams, Simulator, TraceRecorder
+from repro.obs.recorder import SimRecorder
+from repro.sim import RngStreams, Simulator
 from repro.units import mbps
 
 from tests.net.helpers import wireless_cell
@@ -69,8 +70,8 @@ def test_sender_does_not_hear_its_own_frame():
 
 
 def test_rx_gate_blocks_and_records_miss():
-    trace = TraceRecorder()
-    sim, medium, gateway, clients = wireless_cell(n_clients=1, trace=trace)
+    obs = SimRecorder()
+    sim, medium, gateway, clients = wireless_cell(n_clients=1, obs=obs)
     client = clients[0]
     client.interfaces["wl0"].rx_gate = lambda packet: False  # asleep
     received = []
@@ -79,7 +80,7 @@ def test_rx_gate_blocks_and_records_miss():
     sim.run()
     assert received == []
     assert medium.frames_missed == 1
-    misses = list(trace.query("medium.miss"))
+    misses = list(obs.trace.query("medium.miss"))
     assert len(misses) == 1
     assert misses[0].fields["dst"] == client.ip
     assert medium.data_misses == [(client.ip, 500)]
@@ -116,16 +117,16 @@ def test_backoff_uses_rng_and_stays_bounded():
 
 
 def test_channel_drop_hook():
-    trace = TraceRecorder()
+    obs = SimRecorder()
     sim, medium, gateway, clients = wireless_cell(
-        n_clients=1, trace=trace, drop=lambda p: True
+        n_clients=1, obs=obs, drop=lambda p: True
     )
     received = []
     UdpSocket(clients[0], 7000, on_receive=lambda p: received.append(p))
     UdpSocket(gateway, 5000).sendto(100, Endpoint(clients[0].ip, 7000))
     sim.run()
     assert received == []
-    assert trace.count("medium.drop.channel") == 1
+    assert obs.trace.count("medium.drop.channel") == 1
     assert medium.frames_sent == 0
 
 
@@ -140,12 +141,12 @@ def test_attach_two_gateways_rejected():
 
 
 def test_frame_trace_records_timing_and_sizes():
-    trace = TraceRecorder()
-    sim, medium, gateway, clients = wireless_cell(n_clients=1, trace=trace)
+    obs = SimRecorder()
+    sim, medium, gateway, clients = wireless_cell(n_clients=1, obs=obs)
     UdpSocket(clients[0], 7000)
     UdpSocket(gateway, 5000).sendto(400, Endpoint(clients[0].ip, 7000))
     sim.run()
-    frames = list(trace.query("medium.frame"))
+    frames = list(obs.trace.query("medium.frame"))
     assert len(frames) == 1
     fields = frames[0].fields
     assert fields["payload"] == 400

@@ -1,10 +1,9 @@
-"""Unit tests for Store and Resource."""
+"""Unit tests for Store."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator, Store
-from repro.sim.resources import Resource
 
 
 class TestStore:
@@ -104,59 +103,3 @@ class TestStore:
         assert len(store) == 2
         store.try_get()
         assert len(store) == 1
-
-
-class TestResource:
-    def test_capacity_one_serializes_access(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-        timeline = []
-
-        def user(name, hold):
-            yield resource.acquire()
-            timeline.append((name, "in", sim.now))
-            yield sim.timeout(hold)
-            timeline.append((name, "out", sim.now))
-            resource.release()
-
-        sim.process(user("a", 2.0))
-        sim.process(user("b", 1.0))
-        sim.run()
-        assert timeline == [
-            ("a", "in", 0.0),
-            ("a", "out", 2.0),
-            ("b", "in", 2.0),
-            ("b", "out", 3.0),
-        ]
-
-    def test_waiters_served_in_order(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-        order = []
-
-        def user(name):
-            yield resource.acquire()
-            order.append(name)
-            yield sim.timeout(1.0)
-            resource.release()
-
-        for name in ("first", "second", "third"):
-            sim.process(user(name))
-        sim.run()
-        assert order == ["first", "second", "third"]
-
-    def test_release_without_acquire_raises(self):
-        with pytest.raises(SimulationError):
-            Resource(Simulator()).release()
-
-    def test_in_use_counter(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=2)
-
-        def user():
-            yield resource.acquire()
-
-        sim.process(user())
-        sim.process(user())
-        sim.run()
-        assert resource.in_use == 2

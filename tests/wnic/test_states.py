@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim import Simulator, TraceRecorder
+from repro.obs.recorder import SimRecorder
+from repro.sim import Simulator
 from repro.wnic import Wnic, WnicState
 
 
@@ -46,14 +47,14 @@ class TestWnicTransitions:
         assert wnic.can_receive()
 
     def test_transitions_recorded_in_trace(self):
-        trace = TraceRecorder()
+        obs = SimRecorder()
         sim = Simulator()
-        wnic = Wnic(sim, "c1", trace=trace, start_asleep=True)
+        wnic = Wnic(sim, "c1", obs=obs, start_asleep=True)
         sim.run(until=1.0)
         wnic.wake()
         sim.run(until=2.0)
         wnic.sleep()
-        rows = list(trace.query("wnic.transition"))
+        rows = list(obs.trace.query("wnic.transition"))
         assert [(r.time, r.fields["state"]) for r in rows] == [
             (1.0, "idle"),
             (2.0, "sleep"),
