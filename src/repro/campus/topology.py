@@ -5,10 +5,9 @@ campus layer scales that design out: N independent cells, each with its
 own medium, AP, and proxy scheduler shard, plus a seeded mobility
 process that roams clients between cells on an epoch grid.
 
-Like :class:`~repro.net.channel.ChannelPlan`, the topology is a frozen,
-dict-round-trippable value object — the sweep engine content-addresses
-runs by their canonical config JSON, so everything that changes physics
-must serialize.
+Like :class:`~repro.net.channel.ChannelPlan`, the topology is a frozen
+value object — the sweep engine content-addresses runs by their
+canonical config JSON, so everything that changes physics is a field.
 
 Determinism contract (same "exclusive stream" rule the channel model
 uses): each client's roam decisions draw only from its own reserved
@@ -64,19 +63,6 @@ class MobilityPlan:
         """True when the plan actually moves anyone."""
         return self.roam_rate > 0.0
 
-    def to_dict(self) -> dict:
-        return {"roam_rate": self.roam_rate, "epoch_s": self.epoch_s}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MobilityPlan":
-        known = {"roam_rate", "epoch_s"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown mobility plan keys: {', '.join(unknown)}"
-            )
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class HandoffSpec:
@@ -106,19 +92,6 @@ class HandoffSpec:
             raise ConfigurationError(
                 f"handoff latency must be non-negative: {self.latency_s!r}"
             )
-
-    def to_dict(self) -> dict:
-        return {"policy": self.policy, "latency_s": self.latency_s}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HandoffSpec":
-        known = {"policy", "latency_s"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown handoff spec keys: {', '.join(unknown)}"
-            )
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -153,33 +126,4 @@ class CampusTopology:
         """True when this topology is the legacy single-AP layout."""
         return self.n_cells == 1 and (
             self.mobility is None or not self.mobility.enabled
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_cells": self.n_cells,
-            "mobility": None if self.mobility is None else self.mobility.to_dict(),
-            "handoff": self.handoff.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampusTopology":
-        known = {"n_cells", "mobility", "handoff"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown campus topology keys: {', '.join(unknown)}"
-            )
-        mobility = data.get("mobility")
-        handoff = data.get("handoff")
-        return cls(
-            n_cells=data.get("n_cells", 1),
-            mobility=(
-                None if mobility is None else MobilityPlan.from_dict(mobility)
-            ),
-            handoff=(
-                HandoffSpec()
-                if handoff is None
-                else HandoffSpec.from_dict(handoff)
-            ),
         )

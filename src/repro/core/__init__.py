@@ -41,9 +41,7 @@ _HOMES = {
     for module, names in {
         "bandwidth_model": ("LinearCostModel",),
         "client": ("PowerAwareClient",),
-        "delay_comp": (
-            "AdaptiveCompensator", "FixedClockCompensator", "OracleCompensator",
-        ),
+        "delay_comp": ("AdaptiveCompensator", "FixedClockCompensator"),
         "policy": (
             "POLICY_NAMES", "ChannelAwarePolicy", "ClientView",
             "JointThresholdPolicy", "PaperDynamicPolicy", "PolicyInstance",

@@ -47,11 +47,6 @@ class MarkingController:
         self.segments_marked = 0
         connection.on_segment_tx = self._on_segment_tx
 
-    @property
-    def mark_offset(self) -> Optional[int]:
-        """Most recent pending mark byte (paper's ``mark`` variable)."""
-        return self.mark_offsets[-1] if self.mark_offsets else None
-
     def hand_bytes(self, nbytes: int, mark_last: bool) -> None:
         """Bursting-thread side: write ``nbytes`` into the socket."""
         if nbytes <= 0:

@@ -4,7 +4,7 @@ A client must be awake when its packets arrive, but packets pass
 through the access point (variable forwarding delay), the proxy is
 multithreaded, and the client's clock is not synchronized with the
 proxy's. The client therefore *predicts* arrival times and wakes an
-*early transition amount* before them. Three predictors:
+*early transition amount* before them. Two predictors:
 
 * :class:`AdaptiveCompensator` — the paper's algorithm: anchor every
   transition a fixed amount after the **observed arrival time** of the
@@ -13,9 +13,8 @@ proxy's. The client therefore *predicts* arrival times and wakes an
 * :class:`FixedClockCompensator` — trusts the proxy's absolute
   timestamps, shifted by the client's (mis)estimated clock offset; a
   strawman showing why adaptation is needed.
-* :class:`OracleCompensator` — adaptive with a perfect one-interval
-  memory and zero early amount; used to bound achievable savings in
-  tests.
+
+Figure 6 sweeps the adaptive predictor's early amount down to zero.
 """
 
 from __future__ import annotations
@@ -143,14 +142,3 @@ class FixedClockCompensator(DelayCompensator):
         self, schedule: Schedule, arrival: float, slot: BurstSlot
     ) -> float:
         return self._to_client_clock(slot.rendezvous) - self.early_s
-
-
-class OracleCompensator(AdaptiveCompensator):
-    """Adaptive prediction with a zero early amount.
-
-    Not realizable in practice (any jitter causes a miss); used by
-    tests and the Figure 6 sweep as the ``early = 0`` data point.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(early_s=0.0)

@@ -216,7 +216,7 @@ class PolicyInstance:
             raise ConfigurationError("instance needs at least one slot")
         if len(self.channel_good) != len(self.arrivals):
             raise ConfigurationError(
-                "arrivals and channel_good disagree on the horizon"
+                "arrivals and channel_good cover different horizons"
             )
         width = len(self.arrivals[0])
         if width == 0:

@@ -40,6 +40,12 @@ from repro.obs.recorder import Recorder
 from repro.sim.core import Event, Simulator
 from repro.units import ms
 
+#: How the proxy handles TCP: "split" (the paper's design: terminated +
+#: spoofed double connections), "passthrough" (buffer and burst the
+#: end-to-end connection's data segments — the rejected design, kept
+#: for the ablation), or "bridge" (TCP flows through untouched).
+TCP_MODES = ("split", "passthrough", "bridge")
+
 
 class SchedulerLike(Protocol):
     """Any proxy-side scheduling policy: one simulation process."""
@@ -90,16 +96,12 @@ class TransparentProxy(Node):
         obs: Optional[Recorder] = None,
     ) -> None:
         """Args:
-        tcp_mode: "split" (the paper's design: terminated + spoofed
-            double connections), "passthrough" (buffer and burst the
-            end-to-end connection's data segments — the rejected
-            design, kept for the ablation), or "bridge" (TCP flows
-            through untouched).
+        tcp_mode: one of :data:`TCP_MODES`.
         """
         super().__init__(sim, name, ip, obs=obs)
         if not client_ips:
             raise ConfigurationError("proxy needs at least one client ip")
-        if tcp_mode not in ("split", "passthrough", "bridge"):
+        if tcp_mode not in TCP_MODES:
             raise ConfigurationError(f"unknown tcp_mode: {tcp_mode!r}")
         self.tcp_mode = tcp_mode
         self.client_ips = set(client_ips)

@@ -18,11 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.energy.model import (
-    EnergyBreakdown,
-    integrate_intervals,
-    naive_breakdown,
-)
+from repro.energy.model import integrate_intervals, naive_breakdown
 from repro.energy.report import ClientReport
 from repro.errors import TraceError
 from repro.net.sniffer import FrameRecord
@@ -235,13 +231,4 @@ class EnergyAnalyzer:
             miss_recovery_s=miss_recovery_s,
             optimal_saved_pct=optimal_saved_pct,
             extra=dict(extra or {}),
-        )
-
-    def naive_report(self, name: str, ip: str, kind: str = "video") -> EnergyBreakdown:
-        """Just the naive breakdown for ``ip`` (helper for tests)."""
-        return naive_breakdown(
-            rx_frames=self.rx_intervals(ip),
-            tx_frames=self.tx_intervals(ip),
-            duration_s=self.duration_s,
-            power=self.power,
         )

@@ -17,6 +17,7 @@ from repro.core.bandwidth_model import calibrate
 from repro.core.client import DEFAULT_FALLBACK_AFTER_MISSES, PowerAwareClient
 from repro.core.delay_comp import AdaptiveCompensator, FixedClockCompensator
 from repro.core.policy import POLICY_NAMES, make_policy
+from repro.core.proxy import TCP_MODES
 from repro.core.scheduler import DynamicScheduler
 from repro.core.static_schedule import StaticClient, StaticScheduler, build_layout
 from repro.energy.analyzer import EnergyAnalyzer
@@ -28,7 +29,7 @@ from repro.net.addr import Endpoint
 from repro.net.channel import ChannelPlan
 from repro.obs import NULL_RECORDER, Recorder
 from repro.units import mib
-from repro.wnic.power import WAVELAN_2_4GHZ, PowerModel
+from repro.wnic.power import WAVELAN_2_4GHZ
 from repro.workloads.ftp import FTP_PORT, FtpClientApp, FtpServerApp
 from repro.workloads.video import (
     VIDEO_PORT,
@@ -82,8 +83,10 @@ class ExperimentConfig:
     seed: int = 0
     reuse_schedules: bool = False
     adaptive_video: bool = True
-    power: PowerModel = WAVELAN_2_4GHZ
-    scenario: Optional[ScenarioConfig] = None
+    #: How the proxy handles TCP (see TransparentProxy). "bridge" passes
+    #: TCP through unscheduled, so its clients stay naive (always awake)
+    #: lest a sleeping card miss its data.
+    tcp_mode: str = "split"
     #: Deterministic fault-injection plan (see :mod:`repro.faults`).
     #: Threaded into the scenario, the scheduler's slot-reclamation
     #: timeout and every client's fallback/clock-error wiring.
@@ -104,12 +107,9 @@ class ExperimentConfig:
     #: False reproduces the paper's postmortem mode: clients receive
     #: even while "asleep", and drops are computed offline (§4.3).
     enforce_sleep_drops: bool = True
-    #: False leaves clients naive (always awake) — baselines/ablations.
-    power_aware_clients: bool = True
     #: Observability mode: "full", "trace" (rows only), "metrics"
     #: (counters only — the 1k-client smoke mode), or "off"
-    #: (NullRecorder). Only consulted when ``scenario`` is None;
-    #: an explicit ScenarioConfig carries its own obs_mode.
+    #: (NullRecorder).
     obs_mode: str = "full"
 
     def __post_init__(self) -> None:
@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown scheduler: {self.scheduler!r}")
         if self.compensator not in ("adaptive", "fixed"):
             raise ConfigurationError(f"unknown compensator: {self.compensator!r}")
+        if self.tcp_mode not in TCP_MODES:
+            raise ConfigurationError(f"unknown tcp_mode: {self.tcp_mode!r}")
         if self.policy not in POLICY_NAMES:
             raise ConfigurationError(f"unknown policy: {self.policy!r}")
         if self.policy != "dynamic" and self.scheduler != "dynamic":
@@ -125,6 +127,8 @@ class ExperimentConfig:
             )
         if not self.clients:
             raise ConfigurationError("experiment needs at least one client")
+        if self.scheduler == "static" and self.burst_interval_s is None:
+            raise ConfigurationError("static scheduling needs a fixed interval")
         if (
             self.campus is not None
             and self.campus.n_cells > 1
@@ -169,7 +173,8 @@ class ExperimentResult:
     handoffs: int = 0
     handoff_bytes_transferred: int = 0
     handoff_bytes_dropped: int = 0
-    #: Deterministic metrics snapshot (None unless obs_mode == "full").
+    #: Deterministic metrics snapshot (None unless obs_mode is "full"
+    #: or "metrics").
     metrics: Optional[dict] = None
     #: The run's recorder, for exporting events/timelines postmortem.
     obs: Recorder = NULL_RECORDER
@@ -178,9 +183,6 @@ class ExperimentResult:
     def clients(self) -> list[ClientReport]:
         """Alias used throughout the examples."""
         return self.reports
-
-    def report_for(self, index: int) -> ClientReport:
-        return self.reports[index]
 
 
 def video_only(
@@ -212,46 +214,18 @@ def mixed(
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one experiment end to end and analyze it."""
-    scenario_config = config.scenario or ScenarioConfig(
-        n_clients=len(config.clients), seed=config.seed,
-        obs_mode=config.obs_mode,
-    )
-    if scenario_config.n_clients != len(config.clients):
-        raise ConfigurationError(
-            "scenario.n_clients must match len(config.clients)"
+    plan = config.faults
+    scenario = build_scenario(
+        ScenarioConfig(
+            n_clients=len(config.clients),
+            seed=config.seed,
+            tcp_mode=config.tcp_mode,
+            faults=plan,
+            channel=config.channel,
+            obs_mode=config.obs_mode,
+            campus=config.campus,
         )
-    if config.faults is not None:
-        if (
-            scenario_config.faults is not None
-            and scenario_config.faults != config.faults
-        ):
-            raise ConfigurationError(
-                "fault plans given on both ExperimentConfig and "
-                "ScenarioConfig disagree"
-            )
-        scenario_config.faults = config.faults
-    if config.channel is not None:
-        if (
-            scenario_config.channel is not None
-            and scenario_config.channel != config.channel
-        ):
-            raise ConfigurationError(
-                "channel plans given on both ExperimentConfig and "
-                "ScenarioConfig disagree"
-            )
-        scenario_config.channel = config.channel
-    if config.campus is not None:
-        if (
-            scenario_config.campus is not None
-            and scenario_config.campus != config.campus
-        ):
-            raise ConfigurationError(
-                "campus topologies given on both ExperimentConfig and "
-                "ScenarioConfig disagree"
-            )
-        scenario_config.campus = config.campus
-    plan = scenario_config.faults
-    scenario = build_scenario(scenario_config)
+    )
     sim = scenario.sim
     cost_model = calibrate(scenario.medium)
 
@@ -277,14 +251,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             )
             cell.scheduler = sched
             schedulers.append(sched)
-        scheduler = schedulers[0]
     else:
-        if len(scenario.cells) > 1:
-            raise ConfigurationError(
-                "multi-cell campus scheduling requires the dynamic scheduler"
-            )
-        if config.burst_interval_s is None:
-            raise ConfigurationError("static scheduling needs a fixed interval")
         udp_ips = [
             client_ip(i)
             for i, spec in enumerate(config.clients)
@@ -301,8 +268,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             tcp_weight=config.static_tcp_weight,
             tcp_clients=tcp_ips,
         )
-        scheduler = StaticScheduler(scenario.proxy, cost_model, layout)
-        schedulers = [scheduler]
+        schedulers = [StaticScheduler(scenario.proxy, cost_model, layout)]
     for cell, sched in zip(scenario.cells, schedulers):
         cell.proxy.attach_scheduler(sched)
         cell.proxy.start()
@@ -310,9 +276,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         scenario.mobility.start()
 
     # -- client daemons -----------------------------------------------------
-    for handle, spec in zip(scenario.clients, config.clients):
-        if not config.power_aware_clients:
-            continue  # naive clients: card stays in high-power mode
+    for handle in scenario.clients:
+        if config.tcp_mode == "bridge":
+            continue  # unscheduled TCP: the card stays in high-power mode
         if config.scheduler == "dynamic":
             if config.compensator == "adaptive":
                 compensator = AdaptiveCompensator(early_s=config.early_s)
@@ -422,7 +388,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         residency = None
     analyzer = EnergyAnalyzer(
         frames,
-        config.power,
+        WAVELAN_2_4GHZ,
         duration_s=sim.now,
         misses=[
             miss for cell in scenario.cells for miss in cell.medium.data_misses
@@ -440,7 +406,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             server_app, client_app = video_apps[index]
             downshifts += server_app.downshifts
             optimal_pct = optimal_energy_saved_pct(
-                server_app.bytes_sent, sim.now, effective_rate, config.power
+                server_app.bytes_sent, sim.now, effective_rate, WAVELAN_2_4GHZ
             )
             extra = {
                 "app_bytes": client_app.bytes_received,
@@ -453,7 +419,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 app.bytes_received,
                 sim.now,
                 cost_model.effective_rate_bps(),
-                config.power,
+                WAVELAN_2_4GHZ,
             )
             extra = {
                 "app_bytes": app.bytes_received,
@@ -467,7 +433,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 app.bytes_received,
                 sim.now,
                 cost_model.effective_rate_bps(),
-                config.power,
+                WAVELAN_2_4GHZ,
             )
             extra = {
                 "app_bytes": app.bytes_received,

@@ -50,22 +50,26 @@ def client_ip(index: int) -> str:
     return f"{CLIENT_IP_BASE}{index + 1}"
 
 
+#: The fixed testbed of §4.1: 100 Mb/s wired links, an 11 Mb/s WaveLAN
+#: cell with sporadic channel loss, and the AP's forwarding jitter.
+WIRED_RATE_BPS = mbps(100)
+WIRED_LATENCY_S = ms(0.1)
+MEDIUM_RATE_BPS = mbps(11)
+MEDIUM_FRAME_OVERHEAD_S = 0.0008
+MEDIUM_BACKOFF_S = 0.0004
+MEDIUM_LOSS_RATE = 0.0005  # sporadic channel loss
+AP_JITTER_MEAN_S = 0.0009
+AP_SPIKE_PROB = 0.03
+AP_SPIKE_MAX_S = 0.006
+SERVERS = (VIDEO_SERVER_IP, WEB_SERVER_IP, FTP_SERVER_IP)
+
+
 @dataclass
 class ScenarioConfig:
-    """Knobs of the physical testbed."""
+    """What varies between builds of the testbed."""
 
     n_clients: int = 10
     seed: int = 0
-    wired_rate_bps: float = mbps(100)
-    wired_latency_s: float = ms(0.1)
-    medium_rate_bps: float = mbps(11)
-    medium_frame_overhead_s: float = 0.0008
-    medium_backoff_s: float = 0.0004
-    medium_loss_rate: float = 0.0005  # sporadic channel loss
-    ap_jitter_mean_s: float = 0.0009
-    ap_spike_prob: float = 0.03
-    ap_spike_max_s: float = 0.006
-    servers: tuple[str, ...] = (VIDEO_SERVER_IP, WEB_SERVER_IP, FTP_SERVER_IP)
     tcp_mode: str = "split"  # see TransparentProxy
     #: Optional deterministic fault-injection plan (see repro.faults).
     faults: Optional[FaultPlan] = None
@@ -192,17 +196,16 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
         label = f"c{k}" if n_cells > 1 else ""
         loss_rng = streams.get(f"medium-loss{suffix}")
         drop = None
-        if config.medium_loss_rate > 0:
-            rate = config.medium_loss_rate
+        if MEDIUM_LOSS_RATE > 0:
 
-            def drop(packet, _rng=loss_rng, _rate=rate):
+            def drop(packet, _rng=loss_rng, _rate=MEDIUM_LOSS_RATE):
                 return bool(_rng.random() < _rate)
 
         medium = WirelessMedium(
             sim,
-            rate_bps=config.medium_rate_bps,
-            frame_overhead_s=config.medium_frame_overhead_s,
-            max_backoff_s=config.medium_backoff_s,
+            rate_bps=MEDIUM_RATE_BPS,
+            frame_overhead_s=MEDIUM_FRAME_OVERHEAD_S,
+            max_backoff_s=MEDIUM_BACKOFF_S,
             rng=streams.get(f"medium-backoff{suffix}"),
             obs=recorder,
             drop=drop,
@@ -216,9 +219,9 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
             AP_IP if k == 0 else f"10.0.{200 + k}.254",
             rng=streams.get(f"ap-jitter{suffix}"),
             obs=recorder,
-            jitter_mean_s=config.ap_jitter_mean_s,
-            spike_prob=config.ap_spike_prob,
-            spike_max_s=config.ap_spike_max_s,
+            jitter_mean_s=AP_JITTER_MEAN_S,
+            spike_prob=AP_SPIKE_PROB,
+            spike_max_s=AP_SPIKE_MAX_S,
         )
         medium.attach(ap.wireless, gateway=True)
 
@@ -236,7 +239,7 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
             tcp_mode=config.tcp_mode,
         )
         Link(
-            sim, config.wired_rate_bps, config.wired_latency_s,
+            sim, WIRED_RATE_BPS, WIRED_LATENCY_S,
             counters=counters,
         ).attach(proxy.air, ap.wired)
         cells.append(
@@ -253,19 +256,19 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
     for k, cell in enumerate(cells):
         uplink = hub.add_interface("uplink" if k == 0 else f"uplink{k}")
         Link(
-            sim, config.wired_rate_bps, config.wired_latency_s,
+            sim, WIRED_RATE_BPS, WIRED_LATENCY_S,
             counters=counters,
         ).attach(cell.proxy.lan, uplink)
         uplinks.append(uplink)
     hub.set_default_route(uplinks[0])
 
     servers: dict[str, Node] = {}
-    for server_addr in config.servers:
+    for server_addr in SERVERS:
         server = Node(sim, f"server-{server_addr}", server_addr, obs=recorder)
         server_iface = server.add_interface("eth0")
         hub_iface = hub.add_interface(f"port-{server_addr}")
         Link(
-            sim, config.wired_rate_bps, config.wired_latency_s,
+            sim, WIRED_RATE_BPS, WIRED_LATENCY_S,
             counters=counters,
         ).attach(server_iface, hub_iface)
         server.set_default_route(server_iface)
@@ -273,7 +276,7 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
         servers[server_addr] = server
 
     for cell in cells:
-        cell.proxy.wire_routes(set(config.servers))
+        cell.proxy.wire_routes(set(SERVERS))
         cell.proxy.set_default_route(cell.proxy.lan)
 
     # -- clients ------------------------------------------------------------

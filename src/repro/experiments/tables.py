@@ -22,7 +22,6 @@ from repro.experiments.runner import (
     ExperimentConfig,
     video_only,
 )
-from repro.experiments.scenarios import ScenarioConfig
 from repro.net.addr import Endpoint
 from repro.net.node import Node
 from repro.net.shaper import DummyNetPipe
@@ -437,8 +436,7 @@ def split_connection_ablation(
             burst_interval_s=0.5,
             duration_s=60.0 if quick else 180.0,
             seed=seed,
-            scenario=ScenarioConfig(n_clients=1, seed=seed, tcp_mode=mode),
-            power_aware_clients=(mode != "bridge"),
+            tcp_mode=mode,
         )
         for mode in modes
     ]

@@ -4,15 +4,14 @@ A :class:`FaultPlan` describes *what goes wrong* during a run — channel
 loss (iid or Gilbert–Elliott bursty), duplication, reordering,
 corruption, AP outage windows, schedule-broadcast blackouts, client
 clock skew and mid-run churn — plus the graceful-degradation knobs the
-system answers with. Plans are plain frozen dataclasses with a
-dict round-trip, so a scenario can be stored next to its results and
-replayed exactly (all randomness is drawn from the experiment's seeded
-RNG streams, never from the plan itself).
+system answers with. Plans are plain frozen dataclasses, replayed
+exactly under the experiment's seed (all randomness is drawn from the
+experiment's seeded RNG streams, never from the plan itself).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -188,69 +187,3 @@ class FaultPlan:
             or self.schedule_blackouts
             or self.churn
         )
-
-    # -- dict round-trip ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-friendly representation (see :meth:`from_dict`)."""
-        out: dict = {
-            "loss_rate": self.loss_rate,
-            "duplicate_rate": self.duplicate_rate,
-            "reorder_rate": self.reorder_rate,
-            "corrupt_rate": self.corrupt_rate,
-            "outages": [[w.start, w.end] for w in self.outages],
-            "schedule_blackouts": [
-                [w.start, w.end] for w in self.schedule_blackouts
-            ],
-            "churn": [
-                {
-                    "client_index": c.client_index,
-                    "leave_at": c.leave_at,
-                    "rejoin_at": c.rejoin_at,
-                }
-                for c in self.churn
-            ],
-            "fallback_after_misses": self.fallback_after_misses,
-            "silence_timeout_s": self.silence_timeout_s,
-        }
-        if self.burst_loss is not None:
-            out["burst_loss"] = {
-                f.name: getattr(self.burst_loss, f.name)
-                for f in fields(GilbertElliottSpec)
-            }
-        if self.clock is not None:
-            out["clock"] = {
-                f.name: getattr(self.clock, f.name)
-                for f in fields(ClockFaultSpec)
-            }
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "FaultPlan":
-        """Build a plan from :meth:`to_dict` output (extra keys rejected)."""
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"fault plan must be a dict: {raw!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault plan keys: {sorted(unknown)}"
-            )
-        kwargs = dict(raw)
-        try:
-            if kwargs.get("burst_loss") is not None:
-                kwargs["burst_loss"] = GilbertElliottSpec(**kwargs["burst_loss"])
-            if kwargs.get("clock") is not None:
-                kwargs["clock"] = ClockFaultSpec(**kwargs["clock"])
-            kwargs["outages"] = tuple(
-                Window(*pair) for pair in kwargs.get("outages", ())
-            )
-            kwargs["schedule_blackouts"] = tuple(
-                Window(*pair) for pair in kwargs.get("schedule_blackouts", ())
-            )
-            kwargs["churn"] = tuple(
-                ChurnEvent(**c) for c in kwargs.get("churn", ())
-            )
-        except TypeError as exc:
-            raise ConfigurationError(f"malformed fault plan: {exc}") from exc
-        return cls(**kwargs)

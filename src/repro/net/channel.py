@@ -87,29 +87,6 @@ class ChannelPlan:
             loss_bad=self.loss_bad,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "p_good_bad": self.p_good_bad,
-            "p_bad_good": self.p_bad_good,
-            "loss_good": self.loss_good,
-            "loss_bad": self.loss_bad,
-            "epoch_s": self.epoch_s,
-            "start_good": self.start_good,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChannelPlan":
-        known = {
-            "p_good_bad", "p_bad_good", "loss_good", "loss_bad",
-            "epoch_s", "start_good",
-        }
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown channel plan keys: {', '.join(unknown)}"
-            )
-        return cls(**data)
-
 
 class _ClientChannel:
     """One client's chain plus its private draw streams."""

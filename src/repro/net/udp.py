@@ -1,6 +1,6 @@
 """UDP sockets.
 
-Datagram sockets with callback- or queue-style reception. Unreliable by
+Datagram sockets with callback-style reception. Unreliable by
 construction: links, the medium and sleeping WNICs drop datagrams and
 nobody retransmits — exactly the behaviour the paper's video streams
 (and schedule broadcasts) rely on.
@@ -14,7 +14,6 @@ from repro.errors import SocketError
 from repro.net.addr import BROADCAST_IP, Endpoint
 from repro.net.node import Node
 from repro.net.packet import Packet
-from repro.sim.resources import Store
 
 #: Receive callback signature: (packet) -> None.
 RecvCallback = Callable[[Packet], None]
@@ -27,9 +26,8 @@ class UdpSocket:
         node: owning node.
         port: local port to bind.
         on_receive: optional callback invoked for every datagram; when
-            omitted, datagrams are buffered and retrievable with
-            :meth:`recv` (an event) or :meth:`try_recv`. A callback
-            socket has no buffer: its ``recv``/``try_recv`` raise.
+            omitted, datagrams are counted and dropped (a send-only
+            socket).
         local_ip: bind address; defaults to the node's address. The
             proxy binds spoofed addresses here (e.g. the server's) to
             receive traffic transparently.
@@ -45,10 +43,6 @@ class UdpSocket:
         self.node = node
         self.local = Endpoint(local_ip or node.ip, port)
         self._on_receive = on_receive
-        #: Queue-mode receive buffer, created by the first datagram
-        #: queued or the first ``recv()``: send-only and callback
-        #: sockets never allocate one.
-        self._inbox: Optional[Store] = None
         self._closed = False
         self.datagrams_sent = 0
         self.datagrams_received = 0
@@ -109,37 +103,9 @@ class UdpSocket:
         self.bytes_received += packet.payload_size
         if self._on_receive is not None:
             self._on_receive(packet)
-        else:
-            self._buffer("put").put(packet)
-
-    def recv(self):
-        """Event that fires with the next datagram."""
-        if self._closed:
-            raise SocketError("recv on closed socket")
-        return self._buffer("recv").get()
-
-    def try_recv(self) -> Optional[Packet]:
-        """Non-waiting receive; None when no datagram is buffered."""
-        if self._inbox is not None:
-            return self._inbox.try_get()
-        self._refuse_callback_mode("try_recv")
-        return None
-
-    def _buffer(self, op: str) -> Store:
-        """The queue-mode receive buffer, created on first use."""
-        if self._inbox is None:
-            self._refuse_callback_mode(op)
-            self._inbox = Store(self.node.sim)
-        return self._inbox
-
-    def _refuse_callback_mode(self, op: str) -> None:
-        if self._on_receive is not None:
-            raise SocketError(
-                f"{op} on a callback-mode socket: datagrams go to its callback"
-            )
 
     def close(self) -> None:
-        """Unbind the socket; further sends/recvs raise."""
+        """Unbind the socket; further sends raise."""
         if not self._closed:
             self._closed = True
             self.node.unregister_udp(self)

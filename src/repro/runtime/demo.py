@@ -21,20 +21,6 @@ from repro.wnic.power import WAVELAN_2_4GHZ, PowerModel
 from repro.wnic.states import Wnic
 
 
-async def start_byte_server(
-    host: str = "127.0.0.1",
-) -> tuple[SpeedTestOrigin, int]:
-    """A paced origin byte server (see :class:`SpeedTestOrigin`).
-
-    Kept for backward compatibility; returns ``(origin, port)`` where
-    ``origin`` supports ``close()`` + ``wait_closed()`` like the old
-    raw ``asyncio.AbstractServer``.
-    """
-    origin = SpeedTestOrigin(host=host, pace_s=0.005)
-    port = await origin.start()
-    return origin, port
-
-
 def estimated_savings_pct(
     wnic: Wnic, end: float, power: PowerModel = WAVELAN_2_4GHZ
 ) -> float:
@@ -66,10 +52,10 @@ async def run_demo(
     n_clients: int = 2,
     file_size: int = 200_000,
     burst_interval_s: float = 0.1,
-    duration_slack_s: float = 2.0,
 ) -> list[DemoClientResult]:
     """Run the live proxy demo; returns per-client results."""
-    origin_server, origin_port = await start_byte_server()
+    origin = SpeedTestOrigin(pace_s=0.005)
+    origin_port = await origin.start()
     proxy = AsyncProxy(AsyncProxyConfig(burst_interval_s=burst_interval_s))
     await proxy.start()
     clients = [AsyncPowerClient(f"client-{i}") for i in range(n_clients)]
@@ -88,11 +74,11 @@ async def run_demo(
     try:
         payloads = await asyncio.wait_for(
             asyncio.gather(*(fetch(c) for c in clients)),
-            timeout=60.0 + duration_slack_s,
+            timeout=62.0,
         )
     finally:
         await proxy.stop()
-        await origin_server.stop()
+        await origin.stop()
 
     results = []
     for client, payload in zip(clients, payloads):

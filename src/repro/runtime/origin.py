@@ -152,13 +152,3 @@ class SpeedTestOrigin:
             # Local bookkeeping: kill() already closed the listener and
             # every handler task was awaited above.
             await server.wait_closed()  # repro: noqa[ASY003] -- resolves locally after close(); no peer can wedge it
-
-    # -- asyncio.AbstractServer-style compat shims ------------------------
-
-    def close(self) -> None:
-        """Alias for :meth:`kill` (drop-in for a raw asyncio server)."""
-        self.kill()
-
-    async def wait_closed(self) -> None:
-        """No-op once :meth:`close`/:meth:`kill` has run."""
-        return None

@@ -67,6 +67,16 @@ log = logging.getLogger("repro.runtime")
 
 #: Upper bound on one relayed read.
 CHUNK = 64 * 1024
+#: Hard cap on simultaneously open proxied connections.
+MAX_CONNECTIONS = 1024
+#: Global buffered-byte cap across all clients (admission + pause).
+MAX_BUFFERED_BYTES = 64 * 1024 * 1024
+#: Cap on the origin-dial retry backoff, which doubles per attempt.
+DIAL_BACKOFF_MAX_S = 1.0
+#: A relay direction idle this long is considered finished.
+IDLE_TIMEOUT_S = 30.0
+#: Bound on one writer drain or close (a stuck client is aborted).
+DRAIN_TIMEOUT_S = 1.0
 
 #: Control-datagram kinds handed to the chaos filter.
 KIND_SCHEDULE = "schedule"
@@ -89,14 +99,10 @@ class AsyncProxyConfig:
     # -- admission / backpressure -----------------------------------------
     #: Hard cap on simultaneously registered clients.
     max_clients: int = 256
-    #: Hard cap on simultaneously open proxied connections.
-    max_connections: int = 1024
     #: Per-client queue high watermark: past this the origin read pauses.
     queue_high_bytes: int = 2 * 1024 * 1024
     #: Per-client low watermark: reads resume once the queue drains here.
     queue_low_bytes: int = 512 * 1024
-    #: Global buffered-byte cap across all clients (admission + pause).
-    max_buffered_bytes: int = 64 * 1024 * 1024
 
     # -- connection lifecycle ---------------------------------------------
     #: CONNECT header must arrive within this window.
@@ -107,9 +113,6 @@ class AsyncProxyConfig:
     dial_retries: int = 2
     #: First retry backoff; doubles per attempt up to the max.
     dial_backoff_base_s: float = 0.05
-    dial_backoff_max_s: float = 1.0
-    #: A relay direction idle this long is considered finished.
-    idle_timeout_s: float = 30.0
 
     # -- liveness ----------------------------------------------------------
     #: Uplink silence before a client's burst slot is reclaimed.
@@ -122,8 +125,6 @@ class AsyncProxyConfig:
     # -- supervision -------------------------------------------------------
     #: Scheduler/reaper restart backoff after an unexpected crash.
     restart_backoff_s: float = 0.05
-    #: Bound on writer drain time during stop().
-    drain_timeout_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.burst_interval_s is None:
@@ -339,9 +340,7 @@ class AsyncProxy:
                 continue
             writer.close()
             try:
-                await asyncio.wait_for(
-                    writer.wait_closed(), self.config.drain_timeout_s
-                )
+                await asyncio.wait_for(writer.wait_closed(), DRAIN_TIMEOUT_S)
             except (asyncio.TimeoutError, ConnectionError, OSError):
                 pass  # peer gone or wedged; transport is closed regardless
 
@@ -420,9 +419,7 @@ class AsyncProxy:
         self._connections.add(conn)
         try:
             writer.write(STATUS_OK)
-            await asyncio.wait_for(
-                writer.drain(), self.config.drain_timeout_s
-            )
+            await asyncio.wait_for(writer.drain(), DRAIN_TIMEOUT_S)
         except (asyncio.TimeoutError, ConnectionError, OSError):
             self._abort_conn(conn, "client-reset")
             return
@@ -459,14 +456,14 @@ class AsyncProxy:
     def _admission_refusal(self, client_id: str) -> Optional[str]:
         """The refusal reason, or None when the connection is admitted."""
         config = self.config
-        if len(self._connections) >= config.max_connections:
+        if len(self._connections) >= MAX_CONNECTIONS:
             return "overloaded"
         if (
             client_id not in self._clients
             and len(self._clients) >= config.max_clients
         ):
             return "overloaded"
-        if self._buffered_bytes >= config.max_buffered_bytes:
+        if self._buffered_bytes >= MAX_BUFFERED_BYTES:
             return "overloaded"
         return None
 
@@ -477,16 +474,12 @@ class AsyncProxy:
             self.connections_refused += 1
         try:
             writer.write(encode_status_error(reason))
-            await asyncio.wait_for(
-                writer.drain(), self.config.drain_timeout_s
-            )
+            await asyncio.wait_for(writer.drain(), DRAIN_TIMEOUT_S)
         except (asyncio.TimeoutError, ConnectionError, OSError):
             pass  # the peer is already gone; nothing to tell it
         writer.close()
         try:
-            await asyncio.wait_for(
-                writer.wait_closed(), self.config.drain_timeout_s
-            )
+            await asyncio.wait_for(writer.wait_closed(), DRAIN_TIMEOUT_S)
         except (asyncio.TimeoutError, ConnectionError, OSError):
             pass  # refusals are best-effort; the transport is closed
 
@@ -501,7 +494,7 @@ class AsyncProxy:
             if attempt:
                 self.obs.inc("runtime.dial_retries")
                 await asyncio.sleep(backoff)
-                backoff = min(backoff * 2.0, config.dial_backoff_max_s)
+                backoff = min(backoff * 2.0, DIAL_BACKOFF_MAX_S)
             try:
                 return await asyncio.wait_for(
                     asyncio.open_connection(host, port),
@@ -555,7 +548,7 @@ class AsyncProxy:
             while True:
                 try:
                     data = await asyncio.wait_for(
-                        reader.read(CHUNK), timeout=self.config.idle_timeout_s
+                        reader.read(CHUNK), timeout=IDLE_TIMEOUT_S
                     )
                 except asyncio.TimeoutError:
                     break  # idle uplink: treat as finished
@@ -566,7 +559,7 @@ class AsyncProxy:
                 try:
                     await asyncio.wait_for(
                         conn.origin_writer.drain(),
-                        timeout=self.config.idle_timeout_s,
+                        timeout=IDLE_TIMEOUT_S,
                     )
                 except asyncio.TimeoutError:
                     break  # origin stopped consuming; treat as finished
@@ -598,7 +591,7 @@ class AsyncProxy:
                 try:
                     data = await asyncio.wait_for(
                         upstream_reader.read(CHUNK),
-                        timeout=self.config.idle_timeout_s,
+                        timeout=IDLE_TIMEOUT_S,
                     )
                 except asyncio.TimeoutError:
                     break  # idle origin: nothing more to buffer
@@ -616,12 +609,12 @@ class AsyncProxy:
         self._buffered_bytes += nbytes
         if self._buffered_bytes > self.peak_buffered_bytes:
             self.peak_buffered_bytes = self._buffered_bytes
-        if self._buffered_bytes >= self.config.max_buffered_bytes:
+        if self._buffered_bytes >= MAX_BUFFERED_BYTES:
             self._global_writable.clear()
 
     def _account_pop(self, nbytes: int) -> None:
         self._buffered_bytes -= nbytes
-        if self._buffered_bytes < self.config.max_buffered_bytes:
+        if self._buffered_bytes < MAX_BUFFERED_BYTES:
             self._global_writable.set()
 
     def _maybe_finish(self, conn: _Connection) -> None:
@@ -803,9 +796,7 @@ class AsyncProxy:
                 # Bounded drain: _burst runs inside the scheduler
                 # coroutine, so one wedged client receiver must not
                 # stall scheduling for every other client.
-                await asyncio.wait_for(
-                    conn.client_writer.drain(), self.config.drain_timeout_s
-                )
+                await asyncio.wait_for(conn.client_writer.drain(), DRAIN_TIMEOUT_S)
             except asyncio.TimeoutError:
                 self._abort_conn(conn, "client-stalled")
                 continue

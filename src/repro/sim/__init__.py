@@ -11,7 +11,6 @@ named, seeded streams (:class:`~repro.sim.random.RngStreams`).
 from repro.sim.core import Event, Simulator, Timeout
 from repro.sim.process import Process
 from repro.sim.random import RngStreams
-from repro.sim.resources import Store
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "Process",
     "RngStreams",
     "Simulator",
-    "Store",
     "Timeout",
     "TraceRecord",
     "TraceRecorder",

@@ -7,6 +7,7 @@ from repro.core.client import PowerAwareClient
 from repro.core.delay_comp import AdaptiveCompensator
 from repro.core.scheduler import DynamicScheduler
 from repro.errors import SchedulingError
+from repro.experiments import scenarios
 from repro.experiments.scenarios import (
     ScenarioConfig,
     VIDEO_SERVER_IP,
@@ -21,11 +22,11 @@ from repro.wnic import Wnic
 
 def quiet_scenario(n_clients=1, seed=1, **scenario_overrides):
     """A scenario with no AP jitter spikes (deterministic-ish timing)."""
-    config = ScenarioConfig(
-        n_clients=n_clients, seed=seed, ap_spike_prob=0.0,
-        medium_loss_rate=0.0, **scenario_overrides,
-    )
-    return build_scenario(config)
+    config = ScenarioConfig(n_clients=n_clients, seed=seed, **scenario_overrides)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "AP_SPIKE_PROB", 0.0)
+        patch.setattr(scenarios, "MEDIUM_LOSS_RATE", 0.0)
+        return build_scenario(config)
 
 
 def with_dynamic_scheduler(scenario, interval=0.2, **client_kwargs):

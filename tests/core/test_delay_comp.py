@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.delay_comp import (
-    AdaptiveCompensator,
-    FixedClockCompensator,
-    OracleCompensator,
-)
+from repro.core.delay_comp import AdaptiveCompensator, FixedClockCompensator
 from repro.core.schedule import BurstSlot, Schedule
 from repro.errors import ConfigurationError
 
@@ -76,8 +72,10 @@ class TestFixedClockCompensator:
 
 
 class TestOracleCompensator:
+    """The ``early = 0`` point of Figure 6: adaptive, no early margin."""
+
     def test_zero_early_amount(self):
-        comp = OracleCompensator()
+        comp = AdaptiveCompensator(early_s=0.0)
         assert comp.early_s == 0.0
         schedule = make_schedule(srp=10.0, interval=0.5)
         assert comp.next_schedule_wake(schedule, 10.0) == pytest.approx(10.5)

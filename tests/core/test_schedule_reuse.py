@@ -8,16 +8,19 @@ from repro.core.client import PowerAwareClient
 from repro.core.delay_comp import AdaptiveCompensator
 from repro.core.schedule import BurstSlot, Schedule
 from repro.core.scheduler import DynamicScheduler
+from repro.experiments import scenarios
 from repro.experiments.scenarios import ScenarioConfig, build_scenario, client_ip
 from repro.net.addr import Endpoint
 from repro.net.udp import UdpSocket
 
 
 def reuse_scenario(reuse=True, n_clients=2, seed=21):
-    scenario = build_scenario(
-        ScenarioConfig(n_clients=n_clients, seed=seed, ap_spike_prob=0.0,
-                       medium_loss_rate=0.0)
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "AP_SPIKE_PROB", 0.0)
+        patch.setattr(scenarios, "MEDIUM_LOSS_RATE", 0.0)
+        scenario = build_scenario(
+            ScenarioConfig(n_clients=n_clients, seed=seed)
+        )
     scheduler = DynamicScheduler(
         scenario.proxy, calibrate(scenario.medium), interval_s=0.1,
         reuse_schedules=reuse,

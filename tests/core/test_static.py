@@ -10,6 +10,7 @@ from repro.core.static_schedule import (
     build_layout,
 )
 from repro.errors import SchedulingError
+from repro.experiments import scenarios
 from repro.experiments.scenarios import (
     ScenarioConfig,
     VIDEO_SERVER_IP,
@@ -53,13 +54,16 @@ class TestLayout:
         assert layout.slot_for("nope") is None
 
 
+def quiet_scenario(n_clients):
+    """A testbed with no AP jitter spikes and no channel loss."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "AP_SPIKE_PROB", 0.0)
+        patch.setattr(scenarios, "MEDIUM_LOSS_RATE", 0.0)
+        return build_scenario(ScenarioConfig(n_clients=n_clients, seed=3))
+
+
 def static_scenario(n_clients=2, interval=0.1, tcp_weight=0.0, tcp_ips=()):
-    scenario = build_scenario(
-        ScenarioConfig(
-            n_clients=n_clients, seed=3, ap_spike_prob=0.0,
-            medium_loss_rate=0.0,
-        )
-    )
+    scenario = quiet_scenario(n_clients)
     udp_ips = [
         client_ip(i) for i in range(n_clients) if client_ip(i) not in tcp_ips
     ]
@@ -133,10 +137,7 @@ class TestStaticExecution:
         from repro.core.scheduler import DynamicScheduler
 
         def run(kind):
-            scenario = build_scenario(
-                ScenarioConfig(n_clients=2, seed=3, ap_spike_prob=0.0,
-                               medium_loss_rate=0.0)
-            )
+            scenario = quiet_scenario(2)
             model = calibrate(scenario.medium)
             if kind == "static":
                 layout = build_layout(

@@ -1,8 +1,12 @@
 """Integration tests for the experiment runner (small scale)."""
 
+import copy
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan
 from repro.experiments.runner import (
     ClientSpec,
     ExperimentConfig,
@@ -10,6 +14,7 @@ from repro.experiments.runner import (
     run_experiment,
     video_only,
 )
+from repro.obs import NULL_RECORDER
 from repro.units import mib
 
 
@@ -27,12 +32,45 @@ class TestConfigValidation:
             ExperimentConfig(clients=[])
 
     def test_static_needs_fixed_interval(self):
-        config = ExperimentConfig(
-            clients=[ClientSpec("video")], scheduler="static",
-            burst_interval_s=None, duration_s=5.0,
-        )
         with pytest.raises(ConfigurationError):
-            run_experiment(config)
+            ExperimentConfig(
+                clients=[ClientSpec("video")], scheduler="static",
+                burst_interval_s=None, duration_s=5.0,
+            )
+
+    def test_unknown_tcp_mode_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(tcp_mode="tunnel")
+
+
+def passthrough_ftp(**overrides):
+    """One FTP download over the end-to-end (unsplit) TCP connection."""
+    return ExperimentConfig(
+        clients=[ClientSpec("ftp", ftp_bytes=mib(1) // 4)],
+        burst_interval_s=0.25, duration_s=5.0, tcp_mode="passthrough",
+        **overrides,
+    )
+
+
+class TestOneDescription:
+    def test_run_leaves_its_config_unchanged(self):
+        config = passthrough_ftp(faults=FaultPlan(loss_rate=0.01))
+        before = copy.deepcopy(config)
+        run_experiment(config)
+        assert config == before
+
+    def test_reseeding_with_replace_changes_the_run(self):
+        config = passthrough_ftp()
+        reseeded = dataclasses.replace(config, seed=7)
+        assert (
+            run_experiment(reseeded).reports[0].extra["transfer_time_s"]
+            != run_experiment(config).reports[0].extra["transfer_time_s"]
+        )
+
+    def test_obs_off_records_nothing(self):
+        result = run_experiment(passthrough_ftp(obs_mode="off"))
+        assert result.obs is NULL_RECORDER
+        assert result.metrics is None
 
 
 class TestVideoExperiments:
@@ -107,7 +145,7 @@ class TestMixedExperiments:
         result = run_experiment(
             ExperimentConfig(
                 clients=[ClientSpec("video")], burst_interval_s=0.25,
-                duration_s=10.0, seed=6, power_aware_clients=False,
+                duration_s=10.0, seed=6, tcp_mode="bridge",
             )
         )
         assert result.reports[0].energy_saved_pct == pytest.approx(0.0, abs=1.0)

@@ -163,27 +163,6 @@ class TestAcceptance:
         second = canonical(run_experiment(acceptance_config()))
         assert first == second
 
-    def test_faults_via_scenario_config_equivalent(self):
-        config = acceptance_config()
-        scenario_config = ScenarioConfig(
-            n_clients=3, seed=13, faults=ACCEPTANCE_PLAN
-        )
-        via_scenario = ExperimentConfig(
-            clients=config.clients, duration_s=config.duration_s,
-            seed=13, scenario=scenario_config,
-        )
-        assert canonical(run_experiment(via_scenario)) == canonical(
-            run_experiment(config)
-        )
-
-    def test_conflicting_plans_rejected(self):
-        config = acceptance_config()
-        config.scenario = ScenarioConfig(
-            n_clients=3, seed=13, faults=FaultPlan(loss_rate=0.5)
-        )
-        with pytest.raises(ConfigurationError):
-            run_experiment(config)
-
 
 class TestCliAcceptance:
     ARGS = [

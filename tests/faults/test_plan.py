@@ -97,37 +97,6 @@ class TestFaultPlan:
         assert FaultPlan(schedule_blackouts=(Window(0.0, 1.0),)).touches_medium
         assert FaultPlan(churn=(ChurnEvent(0, 1.0),)).touches_medium
 
-    def test_dict_round_trip(self):
-        plan = FaultPlan(
-            loss_rate=0.01,
-            burst_loss=GilbertElliottSpec(0.05, 0.4, loss_bad=0.9),
-            duplicate_rate=0.02,
-            reorder_rate=0.03,
-            corrupt_rate=0.04,
-            outages=(Window(1.0, 2.0),),
-            schedule_blackouts=(Window(3.0, 4.0), Window(5.0, 6.0)),
-            clock=ClockFaultSpec(skew_ppm=150.0, jitter_s=0.001),
-            churn=(ChurnEvent(1, 2.0, 5.0), ChurnEvent(2, 3.0)),
-            fallback_after_misses=4,
-            silence_timeout_s=1.5,
-        )
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
-
-    def test_default_round_trip(self):
-        assert FaultPlan.from_dict(FaultPlan().to_dict()) == FaultPlan()
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan.from_dict({"loss_rate": 0.1, "gremlins": True})
-
-    def test_from_dict_rejects_non_dict(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan.from_dict([1, 2, 3])
-
-    def test_from_dict_rejects_malformed_nested(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan.from_dict({"burst_loss": {"nope": 1}})
-
 
 class TestCliParsers:
     def test_parse_window(self):

@@ -51,17 +51,6 @@ class TestChannelPlan:
         with pytest.raises(ConfigurationError):
             ChannelPlan(epoch_s=epoch_s)
 
-    def test_dict_round_trip(self):
-        plan = ChannelPlan(
-            p_good_bad=0.2, p_bad_good=0.6, loss_bad=0.7,
-            epoch_s=ms(50), start_good=False,
-        )
-        assert ChannelPlan.from_dict(plan.to_dict()) == plan
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown channel plan"):
-            ChannelPlan.from_dict({"p_good_bad": 0.1, "fade_margin": 3})
-
     def test_spec_mirrors_the_plan(self):
         plan = ChannelPlan(p_good_bad=0.2, p_bad_good=0.6, loss_bad=0.7)
         spec = plan.spec

@@ -86,28 +86,6 @@ class TestNode:
 
 
 class TestUdpSocket:
-    def test_queue_mode_recv(self):
-        sim, a, b, _ = wire_pair()
-        receiver = UdpSocket(b, 7000)
-        UdpSocket(a, 5000).sendto(42, Endpoint("10.0.0.2", 7000))
-        got = []
-
-        def consumer():
-            packet = yield receiver.recv()
-            got.append(packet.payload_size)
-
-        sim.process(consumer())
-        sim.run()
-        assert got == [42]
-
-    def test_try_recv(self):
-        sim, a, b, _ = wire_pair()
-        receiver = UdpSocket(b, 7000)
-        assert receiver.try_recv() is None
-        UdpSocket(a, 5000).sendto(1, Endpoint("10.0.0.2", 7000))
-        sim.run()
-        assert receiver.try_recv().payload_size == 1
-
     def test_send_on_closed_socket_raises(self):
         sim, a, _b, _ = wire_pair()
         socket = UdpSocket(a, 5000)
@@ -161,45 +139,12 @@ class TestUdpSocket:
 
 
 class TestUdpSocketModes:
-    def test_recv_on_callback_socket_raises(self):
-        sim, _a, b, _ = wire_pair()
-        socket = UdpSocket(b, 7000, on_receive=lambda p: None)
-        with pytest.raises(SocketError):
-            socket.recv()
-        with pytest.raises(SocketError):
-            socket.try_recv()
-
     def test_send_only_and_callback_sockets_allocate_no_inbox(self):
         sim, a, b, _ = wire_pair()
         received = []
-        receiver = UdpSocket(b, 7000, on_receive=received.append)
+        UdpSocket(b, 7000, on_receive=received.append)
         sender = UdpSocket(a, 5000)
         for _ in range(3):
             sender.sendto(10, Endpoint("10.0.0.2", 7000))
         sim.run()
         assert len(received) == 3
-        assert sender._inbox is None
-        assert receiver._inbox is None
-
-    def test_queue_mode_receive_order_unchanged(self):
-        sim, a, b, _ = wire_pair()
-        receiver = UdpSocket(b, 7000)
-        assert receiver.try_recv() is None
-        sender = UdpSocket(a, 5000)
-        got = []
-
-        def consumer():
-            # The first recv() waits on a buffer that holds nothing yet.
-            for _ in range(2):
-                packet = yield receiver.recv()
-                got.append(packet.payload_size)
-
-        sim.process(consumer())
-        for size in (11, 22, 33, 44):
-            sender.sendto(size, Endpoint("10.0.0.2", 7000))
-        sim.run()
-        got.extend(
-            packet.payload_size
-            for packet in iter(receiver.try_recv, None)
-        )
-        assert got == [11, 22, 33, 44]

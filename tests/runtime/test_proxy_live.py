@@ -17,7 +17,7 @@ from repro.core.schedule import BurstSlot, Schedule
 from repro.errors import ConfigurationError, OverloadError, ProxyProtocolError
 from repro.obs import SimRecorder
 from repro.runtime.client import AsyncPowerClient
-from repro.runtime.demo import run_demo, start_byte_server
+from repro.runtime.demo import run_demo
 from repro.runtime.origin import SpeedTestOrigin
 from repro.runtime.proxy import (
     CHUNK,
@@ -74,7 +74,8 @@ class TestLiveProxy:
     @pytest.mark.timeout(60)
     def test_single_client_download_integrity(self):
         async def scenario():
-            origin, origin_port = await start_byte_server()
+            origin = SpeedTestOrigin(pace_s=0.005)
+            origin_port = await origin.start()
             proxy = AsyncProxy(_fast_config())
             await proxy.start()
             client = AsyncPowerClient("c0")

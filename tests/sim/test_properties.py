@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
 
 
 @st.composite
@@ -81,52 +81,3 @@ class TestProcessProperties:
         sim.process(worker())
         sim.run()
         assert abs(end_time[0] - sum(delays)) < 1e-9 * max(1.0, sum(delays))
-
-
-class TestStoreProperties:
-    @given(items=st.lists(st.integers(), min_size=1, max_size=100))
-    @settings(max_examples=100, deadline=None)
-    def test_store_is_lossless_and_fifo(self, items):
-        sim = Simulator()
-        store = Store(sim)
-        received = []
-
-        def producer():
-            for item in items:
-                yield store.put(item)
-
-        def consumer():
-            for _ in items:
-                value = yield store.get()
-                received.append(value)
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert received == items
-
-    @given(
-        items=st.lists(st.integers(), min_size=1, max_size=60),
-        capacity=st.integers(min_value=1, max_value=5),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_bounded_store_never_exceeds_capacity(self, items, capacity):
-        sim = Simulator()
-        store = Store(sim, capacity=capacity)
-        max_seen = 0
-
-        def producer():
-            for item in items:
-                yield store.put(item)
-
-        def consumer():
-            nonlocal max_seen
-            for _ in items:
-                yield sim.timeout(0.1)
-                max_seen = max(max_seen, len(store))
-                yield store.get()
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert max_seen <= capacity
