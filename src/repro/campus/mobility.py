@@ -27,6 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.random import RngStreams
 
 
+def cell_label(index: int) -> str:
+    """The obs label of campus cell ``index``."""
+    return f"c{index}"
+
+
 class MobilityModel:
     """Tracks which cell each client is in and roams them on schedule."""
 
@@ -39,7 +44,6 @@ class MobilityModel:
         streams: "RngStreams",
         on_roam: Callable[[str, int, int], None],
         obs: Optional[Recorder] = None,
-        cell_label: Callable[[int], str] = lambda idx: f"c{idx}",
     ) -> None:
         if n_cells < 1:
             raise ConfigurationError(f"campus needs at least one cell: {n_cells!r}")
@@ -47,7 +51,6 @@ class MobilityModel:
         self.plan = plan
         self.n_cells = n_cells
         self.obs = obs if obs is not None else NullRecorder()
-        self.cell_label = cell_label
         self._on_roam = on_roam
         #: Clients in fixed index order — the per-epoch visit order.
         self._client_ips = list(client_ips)
@@ -83,7 +86,7 @@ class MobilityModel:
     def residency(self) -> dict[str, tuple[tuple[float, str], ...]]:
         """Per-client residency timelines as ``(time, cell_label)`` steps."""
         return {
-            ip: tuple((at, self.cell_label(cell)) for at, cell in steps)
+            ip: tuple((at, cell_label(cell)) for at, cell in steps)
             for ip, steps in self._timeline.items()
         }
 
@@ -108,11 +111,11 @@ class MobilityModel:
                 self.obs.event(
                     now, "campus.roam",
                     client=ip,
-                    from_cell=self.cell_label(current),
-                    to_cell=self.cell_label(target),
+                    from_cell=cell_label(current),
+                    to_cell=cell_label(target),
                 )
                 self.obs.inc(
                     "campus.roams",
-                    client=ip, to_cell=self.cell_label(target),
+                    client=ip, to_cell=cell_label(target),
                 )
                 self._on_roam(ip, current, target)

@@ -19,6 +19,7 @@ cache (warm reruns skip simulation entirely).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Any
@@ -107,40 +108,36 @@ def parse_churn(text: str):
         raise ConfigurationError(f"bad churn spec {text!r}: {exc}") from exc
 
 
-def parse_burst_loss(text: str):
-    """'p_gb:p_bg[:loss_bad[:loss_good]]' -> GilbertElliottSpec."""
+def parse_gilbert_elliott(text: str, what: str, loss_bad: float = 1.0):
+    """'p_gb:p_bg[:loss_bad[:loss_good]]' -> GilbertElliottSpec.
+
+    ``what`` names the spec in errors; ``loss_bad`` is the bad-state loss
+    when the text omits it.
+    """
     from repro.faults import GilbertElliottSpec
 
     try:
         parts = [float(p) for p in text.split(":")]
     except ValueError as exc:
-        raise ConfigurationError(f"bad burst-loss spec {text!r}: {exc}") from exc
+        raise ConfigurationError(f"bad {what} spec {text!r}: {exc}") from exc
     if len(parts) not in (2, 3, 4):
         raise ConfigurationError(
-            f"bad burst-loss spec {text!r}: expected "
+            f"bad {what} spec {text!r}: expected "
             "p_gb:p_bg[:loss_bad[:loss_good]]"
         )
-    kwargs = dict(zip(("p_good_bad", "p_bad_good", "loss_bad", "loss_good"), parts))
-    return GilbertElliottSpec(**kwargs)
+    fields = ("p_good_bad", "p_bad_good", "loss_bad", "loss_good")
+    return GilbertElliottSpec(**{"loss_bad": loss_bad, **dict(zip(fields, parts))})
 
 
-def parse_channel(text: str, epoch_s: float = 0.1):
-    """'p_gb:p_bg[:loss_bad[:loss_good]]' -> ChannelPlan."""
+def build_channel(args):
+    """The ``--channel`` plan, or None; an omitted loss_bad takes
+    :class:`~repro.net.channel.ChannelPlan`'s default."""
     from repro.net.channel import ChannelPlan
 
-    try:
-        parts = [float(p) for p in text.split(":")]
-    except ValueError as exc:
-        raise ConfigurationError(f"bad channel spec {text!r}: {exc}") from exc
-    if len(parts) not in (2, 3, 4):
-        raise ConfigurationError(
-            f"bad channel spec {text!r}: expected "
-            "p_gb:p_bg[:loss_bad[:loss_good]]"
-        )
-    kwargs = dict(
-        zip(("p_good_bad", "p_bad_good", "loss_bad", "loss_good"), parts)
-    )
-    return ChannelPlan(epoch_s=epoch_s, **kwargs)
+    if not args.channel:
+        return None
+    spec = parse_gilbert_elliott(args.channel, "channel", ChannelPlan.loss_bad)
+    return ChannelPlan(epoch_s=args.channel_epoch_s, **dataclasses.asdict(spec))
 
 
 def build_fault_plan(args):
@@ -156,7 +153,7 @@ def build_fault_plan(args):
     plan = FaultPlan(
         loss_rate=args.fault_loss,
         burst_loss=(
-            parse_burst_loss(args.fault_burst_loss)
+            parse_gilbert_elliott(args.fault_burst_loss, "burst-loss")
             if args.fault_burst_loss
             else None
         ),
@@ -293,11 +290,7 @@ def build_experiment_config(args):
         policy=args.policy,
         policy_threshold_bytes=args.policy_threshold,
         policy_max_defer=args.policy_max_defer,
-        channel=(
-            parse_channel(args.channel, epoch_s=args.channel_epoch_s)
-            if args.channel
-            else None
-        ),
+        channel=build_channel(args),
         campus=build_campus(args),
         obs_mode=args.obs,
     )

@@ -17,8 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.net.medium import WirelessMedium
-from repro.net.packet import IP_HEADER, LINK_HEADER, MSS, TCP_HEADER, UDP_HEADER
+from repro.net.medium import MAX_BACKOFF_S, WirelessMedium
+from repro.net.packet import IP_HEADER, LINK_HEADER, MSS, UDP_HEADER
+
+#: The two UDP payload sizes the calibration times.
+SMALL_PAYLOAD = 64
+LARGE_PAYLOAD = 1400
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,40 +46,35 @@ class LinearCostModel:
         """Estimated airtime of one packet with ``payload_bytes`` payload."""
         return self.overhead_s + payload_bytes * self.per_byte_s
 
-    def burst_cost(self, payload_bytes: int, mss: int = MSS) -> float:
+    def burst_cost(self, payload_bytes: int) -> float:
         """Estimated airtime of ``payload_bytes`` sent as MSS-sized packets."""
         if payload_bytes <= 0:
             return 0.0
-        full, rest = divmod(payload_bytes, mss)
-        cost = full * self.packet_cost(mss)
+        full, rest = divmod(payload_bytes, MSS)
+        cost = full * self.packet_cost(MSS)
         if rest:
             cost += self.packet_cost(rest)
         return cost
 
-    def bytes_for(self, duration_s: float, mss: int = MSS) -> int:
+    def bytes_for(self, duration_s: float) -> int:
         """Largest payload byte count whose burst fits in ``duration_s``."""
         if duration_s <= 0:
             return 0
-        per_full_packet = self.packet_cost(mss)
+        per_full_packet = self.packet_cost(MSS)
         full = int(duration_s / per_full_packet)
         remaining = duration_s - full * per_full_packet
         partial = 0
         if remaining > self.overhead_s:
-            partial = min(mss, int((remaining - self.overhead_s) / self.per_byte_s))
-        return full * mss + partial
+            partial = min(MSS, int((remaining - self.overhead_s) / self.per_byte_s))
+        return full * MSS + partial
 
     def effective_rate_bps(self, mss: int = MSS) -> float:
         """Goodput implied by the model for MSS-sized packets."""
         return mss * 8.0 / self.packet_cost(mss)
 
 
-def calibrate(
-    medium: WirelessMedium,
-    small_payload: int = 64,
-    large_payload: int = 1400,
-    transport_header: int = UDP_HEADER,
-) -> LinearCostModel:
-    """Fit the linear model from the medium's airtime at two sizes.
+def calibrate(medium: WirelessMedium) -> LinearCostModel:
+    """Fit the linear model from the medium's airtime at two UDP sizes.
 
     This is the closed-form equivalent of the paper's microbenchmark:
     send trains of small and large packets, divide elapsed time by
@@ -83,17 +82,10 @@ def calibrate(
     contention backoff so the estimate errs conservative (the paper's
     concern was sending too *much*, which steals later clients' slots).
     """
-    if small_payload >= large_payload:
-        raise ConfigurationError("small_payload must be below large_payload")
-    header = LINK_HEADER + IP_HEADER + transport_header
-    mean_backoff = medium.max_backoff_s / 2.0
-    cost_small = medium.airtime(header + small_payload) + mean_backoff
-    cost_large = medium.airtime(header + large_payload) + mean_backoff
-    per_byte = (cost_large - cost_small) / (large_payload - small_payload)
-    overhead = cost_small - small_payload * per_byte
+    header = LINK_HEADER + IP_HEADER + UDP_HEADER
+    mean_backoff = MAX_BACKOFF_S / 2.0
+    cost_small = medium.airtime(header + SMALL_PAYLOAD) + mean_backoff
+    cost_large = medium.airtime(header + LARGE_PAYLOAD) + mean_backoff
+    per_byte = (cost_large - cost_small) / (LARGE_PAYLOAD - SMALL_PAYLOAD)
+    overhead = cost_small - SMALL_PAYLOAD * per_byte
     return LinearCostModel(overhead_s=overhead, per_byte_s=per_byte)
-
-
-def calibrate_tcp(medium: WirelessMedium, **kwargs: int) -> LinearCostModel:
-    """Calibration variant charging TCP header overhead."""
-    return calibrate(medium, transport_header=TCP_HEADER, **kwargs)

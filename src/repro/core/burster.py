@@ -92,8 +92,6 @@ class Burster:
         self.node = node
         self.obs = obs if obs is not None else NULL_RECORDER
         self._controllers: dict[TcpConnection, MarkingController] = {}
-        self.bursts_sent = 0
-        self.bytes_burst = 0
         #: Per client, the (``proxy.bursts``, ``proxy.burst_bytes``) and
         #: the ``proxy.burst_fill_ratio`` handles, each resolved on first
         #: use (see Recorder.resolve_*).
@@ -136,8 +134,6 @@ class Burster:
                     nbytes, mark_last=last
                 )
             sent += nbytes
-        self.bursts_sent += 1
-        self.bytes_burst += sent
         self.obs.event(
             self.node.sim.now, "proxy.burst",
             client=queue.client_ip, bytes=sent, entries=len(entries),

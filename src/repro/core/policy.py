@@ -381,20 +381,20 @@ def rollout(
     return execute_grants(instance, grants)
 
 
+#: Random instances: each slot a client gets a batch of 1..MAX_BATCH
+#: packets with probability P_ARRIVAL, and its Gilbert-Elliott channel
+#: turns bad with P_GOOD_BAD and good again with P_BAD_GOOD.
+P_ARRIVAL = 0.4
+MAX_BATCH = 2
+P_GOOD_BAD = 0.3
+P_BAD_GOOD = 0.5
+
+
 def random_instance(
-    seed: int,
-    n_clients: int = 3,
-    horizon: int = 8,
-    p_arrival: float = 0.4,
-    max_batch: int = 2,
-    p_good_bad: float = 0.3,
-    p_bad_good: float = 0.5,
-    tx_cost_good: float = 1.0,
-    tx_cost_bad: float = 4.0,
-    hold_cost: float = 1.0,
-    unserved_penalty: float = 8.0,
+    seed: int, n_clients: int = 3, horizon: int = 8
 ) -> PolicyInstance:
-    """A seeded random instance (Bernoulli arrivals, G-E channel).
+    """A seeded random instance (Bernoulli arrivals, G-E channel) at
+    :class:`PolicyInstance`'s default costs.
 
     Draws come from a named :class:`~repro.sim.random.RngStreams`
     stream, so an instance is a pure function of its parameters — the
@@ -412,25 +412,18 @@ def random_instance(
         row: list[int] = []
         for _client in range(n_clients):
             count = 0
-            if rng.random() < p_arrival:
-                count = 1 + int(rng.integers(0, max_batch))
+            if rng.random() < P_ARRIVAL:
+                count = 1 + int(rng.integers(0, MAX_BATCH))
             row.append(count)
         state_row: list[bool] = []
         for client in range(n_clients):
             flip = rng.random()
             if good[client]:
-                if flip < p_good_bad:
+                if flip < P_GOOD_BAD:
                     good[client] = False
-            elif flip < p_bad_good:
+            elif flip < P_BAD_GOOD:
                 good[client] = True
             state_row.append(good[client])
         arrivals.append(tuple(row))
         channel.append(tuple(state_row))
-    return PolicyInstance(
-        arrivals=tuple(arrivals),
-        channel_good=tuple(channel),
-        tx_cost_good=tx_cost_good,
-        tx_cost_bad=tx_cost_bad,
-        hold_cost=hold_cost,
-        unserved_penalty=unserved_penalty,
-    )
+    return PolicyInstance(arrivals=tuple(arrivals), channel_good=tuple(channel))

@@ -187,11 +187,6 @@ class TransparentProxy(Node):
         dequeued = sum(q.dequeued_bytes for q in self._queues.values())
         return delay, dequeued
 
-    def mean_queue_delay_s(self) -> float:
-        """Byte-weighted mean queueing delay across all client queues."""
-        delay, dequeued = self.queue_delay_totals()
-        return delay / dequeued if dequeued else 0.0
-
     def iter_queues(self) -> list[tuple[str, ClientQueue]]:
         """(ip, queue) pairs in a deterministic order.
 
@@ -203,18 +198,13 @@ class TransparentProxy(Node):
             queues = self._sorted_queues = sorted(self._queues.items())
         return queues
 
-    def scheduling_backlog(self, client_ip: str) -> int:
-        """Bytes the schedule must reserve time for: the queue plus any
-        data already written into client-side sockets but not yet
-        acknowledged (unsent or in flight). Without the in-socket part
-        a client whose window-buffered tail still needs delivering
-        would silently drop out of the schedule and sleep through the
-        retransmissions (§3.2.2's bandwidth-constraint discussion)."""
-        udp_bytes, tcp_bytes = self.scheduling_backlog_by_kind(client_ip)
-        return udp_bytes + tcp_bytes
-
     def scheduling_backlog_by_kind(self, client_ip: str) -> tuple[int, int]:
-        """(udp_bytes, tcp_bytes) split of :meth:`scheduling_backlog`.
+        """(udp_bytes, tcp_bytes) the schedule must reserve time for: the
+        queue plus any data already written into client-side sockets but
+        not yet acknowledged (unsent or in flight). Without the in-socket
+        part a client whose window-buffered tail still needs delivering
+        would silently drop out of the schedule and sleep through the
+        retransmissions (§3.2.2's bandwidth-constraint discussion).
 
         The split matters for slot sizing: every TCP segment on the
         downlink elicits ACK airtime on the shared half-duplex medium,

@@ -84,19 +84,6 @@ class ClientQueue:
     def _now(self) -> float:
         return self.clock() if self.clock is not None else 0.0
 
-    @property
-    def mean_queue_delay_s(self) -> float:
-        """Mean per-byte time spent queued (0.0 before any dequeue).
-
-        Coalesced TCP credits keep the *earliest* enqueue time, so for
-        streams this slightly overestimates absolute delay; the metric
-        is meant for comparisons across scheduling policies, which all
-        share the same accounting.
-        """
-        if self.dequeued_bytes == 0:
-            return 0.0
-        return self.delay_byte_s / self.dequeued_bytes
-
     def __len__(self) -> int:
         return len(self._entries)
 

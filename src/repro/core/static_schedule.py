@@ -47,6 +47,11 @@ SLOT_GRACE_S = ms(10)
 NOSHOW_GRACE_S = ms(8)
 #: Client state: awake through the interval's TCP slot.
 TCP_SLOT = "tcp-slot"
+#: Idle lead between the TCP slot (or the interval start) and the first
+#: UDP slot.
+GUARD_S = ms(2)
+#: Idle gap after each UDP slot.
+SLOT_GAP_S = us(500)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,26 +92,24 @@ def build_layout(
     interval_s: float,
     tcp_weight: float = 0.0,
     tcp_clients: Sequence[str] = (),
-    guard_s: float = ms(2),
-    slot_gap_s: float = us(500),
     epoch: float = 0.0,
 ) -> StaticLayout:
     """Equal per-client UDP slots after an optional leading TCP slot."""
     if not 0.0 <= tcp_weight < 1.0:
         raise SchedulingError(f"tcp_weight must be in [0,1): {tcp_weight!r}")
     tcp_slot_s = interval_s * tcp_weight
-    udp_window = interval_s - tcp_slot_s - guard_s
+    udp_window = interval_s - tcp_slot_s - GUARD_S
     n = len(client_ips)
     if n == 0:
         raise SchedulingError("static layout needs at least one client")
-    per_client = udp_window / n - slot_gap_s
+    per_client = udp_window / n - SLOT_GAP_S
     if per_client <= 0:
         raise SchedulingError("interval too small for the client count")
     slots = []
-    cursor = tcp_slot_s + guard_s
+    cursor = tcp_slot_s + GUARD_S
     for ip in client_ips:
         slots.append(StaticSlot(client_ip=ip, offset=cursor, duration=per_client))
-        cursor += per_client + slot_gap_s
+        cursor += per_client + SLOT_GAP_S
     return StaticLayout(
         interval=interval_s,
         tcp_slot_s=tcp_slot_s,

@@ -24,7 +24,7 @@ is faithful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.sweep import SweepEngine
@@ -147,30 +147,15 @@ def sweep_early_amounts(
     client_ip: str,
     power: PowerModel,
     early_amounts_s: Sequence[float],
-    compensator_factory: Optional[Callable[[float], DelayCompensator]] = None,
     duration_s: Optional[float] = None,
     engine: Optional["SweepEngine"] = None,
 ) -> list[tuple[float, ReplayResult]]:
     """Figure 6 from one capture: replay several early amounts.
 
-    The default adaptive-compensator sweep fans out through the sweep
-    engine (task ``replay-early``), so replays cache and parallelize
-    like live experiments. A custom ``compensator_factory`` is a live
-    callable — it cannot be content-addressed — so that path replays
-    serially in-process, bypassing the engine.
+    The adaptive-compensator sweep fans out through the sweep engine
+    (task ``replay-early``), so replays cache and parallelize like live
+    experiments.
     """
-    if compensator_factory is not None:
-        return [
-            (
-                early,
-                replay_policy(
-                    frames, client_ip, compensator_factory(early), power,
-                    duration_s=duration_s,
-                ),
-            )
-            for early in early_amounts_s
-        ]
-
     from repro.sweep import SweepEngine, SweepSpec
 
     if engine is None:

@@ -39,6 +39,8 @@ from repro.wnic.states import Wnic
 
 CLIENT_IP = "10.0.1.1"
 SERVER_IP = "10.0.2.1"
+#: The compared stream's rate: the 256K tier's effective bitrate.
+STREAM_KBPS = 225.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,7 +127,7 @@ def _run_one(policy: str, duration_s: float, rate_bps: float, seed: int) -> Base
 
 
 def psm_comparison(
-    seed: int = 0, quick: bool = False, rate_kbps: float = 225.0,
+    seed: int = 0, quick: bool = False,
     engine: Optional[SweepEngine] = None,
 ) -> list[dict]:
     """Run the three policies on the same stream; returns one row each."""
@@ -141,7 +143,7 @@ def psm_comparison(
                 {
                     "policy": policy,
                     "duration_s": duration,
-                    "rate_bps": kbps(rate_kbps),
+                    "rate_bps": kbps(STREAM_KBPS),
                     "seed": seed,
                 }
                 for policy in policies

@@ -46,6 +46,10 @@ FIGURE5_PATTERNS = {
 }
 #: The three burst-interval policies every experiment sweeps.
 INTERVALS = {"100ms": 0.1, "500ms": 0.5, "variable": None}
+#: Figure 6: the early-transition amounts swept (ms).
+FIGURE6_EARLY_MS = (0, 2, 4, 6, 8, 10)
+#: Figure 7: the static schedule's TCP slot weights.
+FIGURE7_TCP_WEIGHTS = (0.10, 0.33, 0.56)
 
 
 def _scale(pattern: list[int], quick: bool) -> list[int]:
@@ -144,9 +148,7 @@ def figure5(
 
 
 def figure6(
-    seed: int = 0,
-    quick: bool = False,
-    early_amounts_ms: tuple = (0, 2, 4, 6, 8, 10),
+    seed: int = 0, quick: bool = False,
     engine: Optional[SweepEngine] = None,
 ) -> list[dict]:
     """Figure 6: early-transition sweep on a 100 ms interval.
@@ -166,9 +168,9 @@ def figure6(
             seed=seed,
             early_s=early_ms / 1000.0,
         )
-        for early_ms in early_amounts_ms
+        for early_ms in FIGURE6_EARLY_MS
     ]
-    labels = [{"early_ms": early_ms} for early_ms in early_amounts_ms]
+    labels = [{"early_ms": early_ms} for early_ms in FIGURE6_EARLY_MS]
     outcome = _engine(engine).run(
         SweepSpec.experiments("figure6", configs, labels)
     )
@@ -195,9 +197,7 @@ def figure6(
 
 
 def figure7(
-    seed: int = 0,
-    quick: bool = False,
-    tcp_weights: tuple = (0.10, 0.33, 0.56),
+    seed: int = 0, quick: bool = False,
     engine: Optional[SweepEngine] = None,
 ) -> list[dict]:
     """Figure 7: static schedule with fixed TCP/UDP slots at 500 ms.
@@ -220,9 +220,9 @@ def figure7(
             duration_s=_duration(quick),
             seed=seed,
         )
-        for weight in tcp_weights
+        for weight in FIGURE7_TCP_WEIGHTS
     ]
-    labels = [{"tcp_weight": weight} for weight in tcp_weights]
+    labels = [{"tcp_weight": weight} for weight in FIGURE7_TCP_WEIGHTS]
     outcome = _engine(engine).run(
         SweepSpec.experiments("figure7", configs, labels)
     )

@@ -24,13 +24,14 @@ from repro.experiments.claims import ENTRIES, Entry, Verdict
 
 PathLike = Union[str, pathlib.Path]
 
+#: The seed the checked-in results are generated at.
+RESULTS_SEED = 1
+
 
 def refresh_results(
     results_dir: PathLike = "benchmarks/results",
     quick: bool = False,
-    seed: int = 1,
     engine: Any = None,
-    only: Optional[list[str]] = None,
 ) -> list[pathlib.Path]:
     """Re-run every driver and persist its rows; returns written paths.
 
@@ -46,9 +47,9 @@ def refresh_results(
     results_dir.mkdir(parents=True, exist_ok=True)
     written: list[pathlib.Path] = []
     for entry in ENTRIES:
-        if entry.driver is None or (only is not None and entry.name not in only):
+        if entry.driver is None:
             continue
-        rows = entry.load_driver()(seed=seed, quick=quick, engine=engine)
+        rows = entry.load_driver()(seed=RESULTS_SEED, quick=quick, engine=engine)
         path = results_dir / f"{entry.name}.json"
         path.write_text(json.dumps(rows, indent=2, default=str) + "\n")
         written.append(path)

@@ -21,6 +21,7 @@ from repro.campus import (
     HandoffCoordinator,
     MobilityModel,
 )
+from repro.campus.mobility import cell_label
 from repro.core.proxy import TransparentProxy
 from repro.faults import FaultController, FaultCounters, FaultPlan
 from repro.net.access_point import AccessPoint
@@ -50,17 +51,13 @@ def client_ip(index: int) -> str:
     return f"{CLIENT_IP_BASE}{index + 1}"
 
 
-#: The fixed testbed of §4.1: 100 Mb/s wired links, an 11 Mb/s WaveLAN
-#: cell with sporadic channel loss, and the AP's forwarding jitter.
+#: The fixed testbed of §4.1: 100 Mb/s wired links and sporadic channel
+#: loss in the cell. The 11 Mb/s WaveLAN airtime and the AP's forwarding
+#: jitter are constants of :mod:`repro.net.medium` and
+#: :mod:`repro.net.access_point`.
 WIRED_RATE_BPS = mbps(100)
 WIRED_LATENCY_S = ms(0.1)
-MEDIUM_RATE_BPS = mbps(11)
-MEDIUM_FRAME_OVERHEAD_S = 0.0008
-MEDIUM_BACKOFF_S = 0.0004
 MEDIUM_LOSS_RATE = 0.0005  # sporadic channel loss
-AP_JITTER_MEAN_S = 0.0009
-AP_SPIKE_PROB = 0.03
-AP_SPIKE_MAX_S = 0.006
 SERVERS = (VIDEO_SERVER_IP, WEB_SERVER_IP, FTP_SERVER_IP)
 
 
@@ -193,7 +190,7 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
     cells: list[Cell] = []
     for k in range(n_cells):
         suffix = "" if k == 0 else f"@c{k}"
-        label = f"c{k}" if n_cells > 1 else ""
+        label = cell_label(k) if n_cells > 1 else ""
         loss_rng = streams.get(f"medium-loss{suffix}")
         drop = None
         if MEDIUM_LOSS_RATE > 0:
@@ -203,9 +200,6 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
 
         medium = WirelessMedium(
             sim,
-            rate_bps=MEDIUM_RATE_BPS,
-            frame_overhead_s=MEDIUM_FRAME_OVERHEAD_S,
-            max_backoff_s=MEDIUM_BACKOFF_S,
             rng=streams.get(f"medium-backoff{suffix}"),
             obs=recorder,
             drop=drop,
@@ -219,9 +213,6 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
             AP_IP if k == 0 else f"10.0.{200 + k}.254",
             rng=streams.get(f"ap-jitter{suffix}"),
             obs=recorder,
-            jitter_mean_s=AP_JITTER_MEAN_S,
-            spike_prob=AP_SPIKE_PROB,
-            spike_max_s=AP_SPIKE_MAX_S,
         )
         medium.attach(ap.wireless, gateway=True)
 

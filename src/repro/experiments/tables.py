@@ -276,14 +276,11 @@ def _dummynet_transfer(
 
 
 def drop_effect_dummynet(
-    seed: int = 0,
-    quick: bool = False,
-    transfer_bytes: Optional[int] = None,
+    seed: int = 0, quick: bool = False,
     engine: Optional[SweepEngine] = None,
 ) -> dict:
     """E9b — §4.3: a 4 Mb/s DummyNet pipe, 2 ms RTT, 5 % drop rate."""
-    if transfer_bytes is None:
-        transfer_bytes = mib(1) if quick else mib(2)
+    transfer_bytes = mib(1) if quick else mib(2)
     rates = (0.0, 0.05)
     outcome = _engine(engine).run(
         SweepSpec.from_tasks(
@@ -372,7 +369,6 @@ def compensator_ablation(
     prediction changes:
 
     * ``adaptive`` — the paper's algorithm plus the min-filter margin;
-    * ``adaptive-paper`` — the paper's exact last-arrival anchor;
     * ``fixed-exact`` — absolute proxy timestamps with a perfect clock;
     * ``fixed-skewed`` — absolute timestamps with a 20 ms clock error
       (why unsynchronized clocks force the adaptive design).

@@ -17,9 +17,9 @@ class FaultCounters:
     def __init__(self) -> None:
         self._counts: dict[str, int] = {}
 
-    def incr(self, key: str, n: int = 1) -> int:
-        """Add ``n`` to ``key`` and return the new total."""
-        total = self._counts.get(key, 0) + n
+    def incr(self, key: str) -> int:
+        """Add one to ``key`` and return the new total."""
+        total = self._counts.get(key, 0) + 1
         self._counts[key] = total
         return total
 

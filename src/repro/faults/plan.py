@@ -49,13 +49,6 @@ class GilbertElliottSpec:
         _check_prob("loss_good", self.loss_good)
         _check_prob("loss_bad", self.loss_bad)
 
-    @property
-    def mean_burst_len(self) -> float:
-        """Expected number of frames per bad-state visit."""
-        if self.p_bad_good <= 0:
-            return float("inf")
-        return 1.0 / self.p_bad_good
-
 
 @dataclass(frozen=True, slots=True)
 class Window:

@@ -24,14 +24,14 @@ from repro.obs.recorder import Recorder
 from repro.sim.core import Simulator
 from repro.units import ms, us
 
-#: Default mean of the exponential forwarding jitter.
-DEFAULT_JITTER_MEAN_S = us(900)
-#: Default probability of a slow-path forwarding spike.
-DEFAULT_SPIKE_PROB = 0.03
-#: Default maximum extra delay of a spike (uniform on [0, max]).
-DEFAULT_SPIKE_MAX_S = ms(6)
 #: Fixed base forwarding latency.
-DEFAULT_BASE_DELAY_S = us(300)
+BASE_DELAY_S = us(300)
+#: Mean of the exponential forwarding jitter.
+JITTER_MEAN_S = us(900)
+#: Probability of a slow-path forwarding spike.
+SPIKE_PROB = 0.03
+#: Maximum extra delay of a spike (uniform on [0, max]).
+SPIKE_MAX_S = ms(6)
 
 
 class _ForwardPath:
@@ -79,19 +79,11 @@ class AccessPoint(Node):
         name: str,
         ip: str,
         rng: Optional[np.random.Generator] = None,
-        base_delay_s: float = DEFAULT_BASE_DELAY_S,
-        jitter_mean_s: float = DEFAULT_JITTER_MEAN_S,
-        spike_prob: float = DEFAULT_SPIKE_PROB,
-        spike_max_s: float = DEFAULT_SPIKE_MAX_S,
         obs: Optional[Recorder] = None,
     ) -> None:
         super().__init__(sim, name, ip, obs=obs)
         self.forwarding = True
         self.rng = rng
-        self.base_delay_s = base_delay_s
-        self.jitter_mean_s = jitter_mean_s
-        self.spike_prob = spike_prob
-        self.spike_max_s = spike_max_s
         self.wired = self.add_interface("wired")
         self.wireless = self.add_interface("wireless")
         # The AP's own broadcasts (e.g. PSM beacons) go on the air.
@@ -139,10 +131,9 @@ class AccessPoint(Node):
             self._uplink.accept(packet)
 
     def _forwarding_delay(self) -> float:
-        delay = self.base_delay_s
+        delay = BASE_DELAY_S
         if self.rng is not None:
-            if self.jitter_mean_s > 0:
-                delay += self.rng.exponential(self.jitter_mean_s)
-            if self.spike_prob > 0 and self.rng.random() < self.spike_prob:
-                delay += self.rng.uniform(0.0, self.spike_max_s)
+            delay += self.rng.exponential(JITTER_MEAN_S)
+            if SPIKE_PROB > 0 and self.rng.random() < SPIKE_PROB:
+                delay += self.rng.uniform(0.0, SPIKE_MAX_S)
         return delay

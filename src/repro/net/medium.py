@@ -33,14 +33,14 @@ from repro.net.packet import Packet
 from repro.obs.metrics import BYTES_BUCKETS
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.core import Simulator
-from repro.units import ms, transmit_time
+from repro.units import mbps, ms, transmit_time
 
-#: Default nominal channel rate (802.11b).
-DEFAULT_RATE_BPS = 11e6
-#: Default fixed per-frame MAC/PHY overhead (preamble, SIFS, MAC ACK).
-DEFAULT_FRAME_OVERHEAD_S = ms(0.8)
-#: Default upper bound of the uniform contention backoff.
-DEFAULT_MAX_BACKOFF_S = ms(0.4)
+#: Nominal channel rate (the testbed's 11 Mb/s WaveLAN cell).
+RATE_BPS = mbps(11)
+#: Fixed per-frame MAC/PHY overhead (preamble, SIFS, MAC ACK).
+FRAME_OVERHEAD_S = ms(0.8)
+#: Upper bound of the uniform contention backoff.
+MAX_BACKOFF_S = ms(0.4)
 
 #: An attached interface with its ``promiscuous`` flag as read at attach.
 Station = tuple[Interface, bool]
@@ -52,20 +52,12 @@ class WirelessMedium:
     def __init__(
         self,
         sim: Simulator,
-        rate_bps: float = DEFAULT_RATE_BPS,
-        frame_overhead_s: float = DEFAULT_FRAME_OVERHEAD_S,
-        max_backoff_s: float = DEFAULT_MAX_BACKOFF_S,
         rng: Optional[np.random.Generator] = None,
         drop: Optional[Callable[[Packet], bool]] = None,
         counters: Optional[FaultCounters] = None,
         obs: Optional[Recorder] = None,
     ) -> None:
-        if rate_bps <= 0:
-            raise NetworkError(f"medium rate must be positive: {rate_bps!r}")
         self.sim = sim
-        self.rate_bps = rate_bps
-        self.frame_overhead_s = frame_overhead_s
-        self.max_backoff_s = max_backoff_s
         self.rng = rng
         self.obs = obs if obs is not None else NULL_RECORDER
         self.drop = drop
@@ -197,13 +189,7 @@ class WirelessMedium:
 
     def airtime(self, wire_size: int) -> float:
         """Deterministic part of one frame's channel occupancy."""
-        return self.frame_overhead_s + transmit_time(wire_size, self.rate_bps)
-
-    def effective_rate_bps(self, frame_payload: int = 1472) -> float:
-        """Goodput for back-to-back frames of ``frame_payload`` bytes."""
-        wire = frame_payload + 62  # transport/IP/link headers
-        mean_backoff = self.max_backoff_s / 2.0
-        return frame_payload * 8.0 / (self.airtime(wire) + mean_backoff)
+        return FRAME_OVERHEAD_S + transmit_time(wire_size, RATE_BPS)
 
     # -- transmission -----------------------------------------------------------
 
@@ -231,12 +217,12 @@ class WirelessMedium:
         sim = self.sim
         src_iface, packet = self._queue.popleft()
         occupancy = self.airtime(packet.wire_size)
-        if self.rng is not None and self.max_backoff_s > 0:
+        if self.rng is not None:
             i = self._backoff_i
             buf = self._backoff_buf
             if i == len(buf):
                 buf = self._backoff_buf = self.rng.uniform(
-                    0.0, self.max_backoff_s, 256
+                    0.0, MAX_BACKOFF_S, 256
                 ).tolist()
                 i = 0
             occupancy += buf[i]

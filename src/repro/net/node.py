@@ -179,7 +179,7 @@ class Node:
         """Dispatch ``packet`` to a matching local socket, if any.
 
         Unlike :meth:`dispatch_transport` this does not require the
-        destination address to be this node's — it matches spoofed
+        destination address to be this node's — it matches spoofed TCP
         connections too (the proxy's client-side sockets are keyed by
         the *server's* endpoint).
         """
@@ -194,19 +194,11 @@ class Node:
                 return True
             return False
         sockets = self.udp_sockets.get(packet.dst.port)
-        if not sockets:
+        if not sockets or not (packet.is_broadcast or packet.dst.ip == self.ip):
             return False
-        if packet.is_broadcast or packet.dst.ip == self.ip:
-            for socket in list(sockets):
-                socket.on_packet(packet)
-            return True
-        # UDP sockets can be bound to spoofed addresses too.
-        delivered = False
         for socket in list(sockets):
-            if socket.matches(packet.dst):
-                socket.on_packet(packet)
-                delivered = True
-        return delivered
+            socket.on_packet(packet)
+        return True
 
     def dispatch_transport(self, packet: Packet) -> None:
         """Deliver a packet addressed to this node (or broadcast)."""

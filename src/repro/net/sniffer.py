@@ -10,7 +10,7 @@ hears as a :class:`FrameRecord`. The energy analyzer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.net.medium import WirelessMedium
 from repro.net.node import Node
@@ -105,18 +105,6 @@ class MonitoringStation(Node):
     def frames(self) -> tuple[FrameRecord, ...]:
         """Every captured frame, in capture order."""
         return tuple(self._frames)
-
-    def frames_to(self, ip: str, include_broadcast: bool = True) -> Iterator[FrameRecord]:
-        """Frames addressed to ``ip`` (optionally including broadcasts)."""
-        for frame in self._frames:
-            if frame.dst_ip == ip or (include_broadcast and frame.broadcast):
-                yield frame
-
-    def frames_from(self, ip: str) -> Iterator[FrameRecord]:
-        """Frames transmitted by ``ip``."""
-        for frame in self._frames:
-            if frame.src_ip == ip:
-                yield frame
 
     def bytes_captured(self) -> int:
         """Total wire bytes heard."""

@@ -42,8 +42,8 @@ ESTABLISHED = "ESTABLISHED"
 FIN_SENT = "FIN_SENT"
 FIN_RCVD = "FIN_RCVD"
 
-#: Default advertised receive window in bytes.
-DEFAULT_RWND = 64 * 1024
+#: Advertised receive window in bytes (every peer's window).
+RWND = 64 * 1024
 #: Initial congestion window (segments), per the era's common default.
 INITIAL_CWND_SEGMENTS = 2
 #: Initial slow-start threshold.
@@ -96,7 +96,6 @@ class TcpConnection:
         local: Endpoint,
         remote: Endpoint,
         state: str = CLOSED,
-        rwnd: int = DEFAULT_RWND,
         on_data: Optional[Callable[[int, Packet], None]] = None,
         on_established: Optional[Callable[["TcpConnection"], None]] = None,
         on_close: Optional[Callable[["TcpConnection"], None]] = None,
@@ -118,13 +117,12 @@ class TcpConnection:
         self.app_limit = 1  # stream offset one past last app byte (+1 for SYN)
         self.cwnd = INITIAL_CWND_SEGMENTS * MSS
         self.ssthresh = INITIAL_SSTHRESH
-        self.peer_rwnd = rwnd
+        self.peer_rwnd = RWND
         self.dupacks = 0
         self.fin_offset: Optional[int] = None  # stream offset of our FIN
 
         # -- receiver state --
         self.rcv_nxt = 0
-        self.rwnd = rwnd
         self._ooo: list[tuple[int, int]] = []  # out-of-order [start, end)
         self.peer_fin_offset: Optional[int] = None
         self._unacked_segments = 0  # delayed-ACK bookkeeping

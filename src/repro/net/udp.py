@@ -28,9 +28,6 @@ class UdpSocket:
         on_receive: optional callback invoked for every datagram; when
             omitted, datagrams are counted and dropped (a send-only
             socket).
-        local_ip: bind address; defaults to the node's address. The
-            proxy binds spoofed addresses here (e.g. the server's) to
-            receive traffic transparently.
     """
 
     def __init__(
@@ -38,10 +35,9 @@ class UdpSocket:
         node: Node,
         port: int,
         on_receive: Optional[RecvCallback] = None,
-        local_ip: Optional[str] = None,
     ) -> None:
         self.node = node
-        self.local = Endpoint(local_ip or node.ip, port)
+        self.local = Endpoint(node.ip, port)
         self._on_receive = on_receive
         self._closed = False
         self.datagrams_sent = 0
@@ -58,18 +54,16 @@ class UdpSocket:
         dst: Endpoint,
         seq: int = 0,
         meta: Optional[dict] = None,
-        src: Optional[Endpoint] = None,
     ) -> Packet:
         """Send a datagram of ``payload_size`` bytes to ``dst``.
 
-        ``src`` overrides the source endpoint for spoofed sends.
         Returns the packet object (useful for tests and marking).
         """
         if self._closed:
             raise SocketError("sendto on closed socket")
         packet = Packet(
             proto="udp",
-            src=src or self.local,
+            src=self.local,
             dst=dst,
             payload_size=payload_size,
             seq=seq,
@@ -88,12 +82,6 @@ class UdpSocket:
         return self.sendto(payload_size, Endpoint(BROADCAST_IP, port), meta=meta)
 
     # -- receiving -----------------------------------------------------------
-
-    def matches(self, dst: Endpoint) -> bool:
-        """Whether this socket should receive a packet sent to ``dst``."""
-        return dst.port == self.local.port and (
-            dst.ip == self.local.ip or dst.ip == BROADCAST_IP
-        )
 
     def on_packet(self, packet: Packet) -> None:
         """Upcall from the node's dispatcher."""

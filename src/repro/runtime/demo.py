@@ -17,22 +17,22 @@ from repro.energy.model import integrate_intervals, naive_breakdown
 from repro.runtime.client import AsyncPowerClient
 from repro.runtime.origin import SpeedTestOrigin
 from repro.runtime.proxy import AsyncProxy, AsyncProxyConfig
-from repro.wnic.power import WAVELAN_2_4GHZ, PowerModel
+from repro.wnic.power import WAVELAN_2_4GHZ
 from repro.wnic.states import Wnic
 
 
-def estimated_savings_pct(
-    wnic: Wnic, end: float, power: PowerModel = WAVELAN_2_4GHZ
-) -> float:
+def estimated_savings_pct(wnic: Wnic, end: float) -> float:
     """Energy saved by ``wnic``'s log up to ``end`` against an
-    always-awake card, by the simulator's energy model. The live client
-    sees no frame airtime, so all awake time counts as idle."""
+    always-awake card, by the simulator's energy model of the WaveLAN
+    card. The live client sees no frame airtime, so all awake time
+    counts as idle."""
     if end <= 0:
         return 0.0
     spent = integrate_intervals(
-        wnic.awake_intervals(end), [], [], end, wnic.wake_count, power
+        wnic.awake_intervals(end), [], [], end, wnic.wake_count,
+        WAVELAN_2_4GHZ,
     )
-    naive = naive_breakdown([], [], end, power)
+    naive = naive_breakdown([], [], end, WAVELAN_2_4GHZ)
     return 100.0 * (1.0 - spent.energy_j / naive.energy_j)
 
 

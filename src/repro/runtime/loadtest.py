@@ -58,8 +58,7 @@ class LoadTestConfig:
     #: Optional chaos plan (wall-clock semantics; see repro.runtime.chaos).
     plan: Optional[FaultPlan] = None
     seed: int = 0
-    #: The proxy's knobs (burst interval, watermarks, liveness windows,
-    #: limits).
+    #: The proxy's settings (burst interval, watermarks, liveness windows).
     proxy: AsyncProxyConfig = field(
         default_factory=lambda: AsyncProxyConfig(burst_interval_s=0.05)
     )
@@ -110,6 +109,7 @@ class LoadTestReport:
             "jitter_p99_ms": self.broadcast_jitter_p99_s * 1000.0,
             "peak_queue_kib": self.peak_queue_bytes / 1024.0,
             "refused": self.connections_refused,
+            "reclaimed": self.slots_reclaimed,
             "evicted": self.evictions,
             "restarts": self.scheduler_restarts,
         }]

@@ -27,24 +27,16 @@ log = logging.getLogger("repro.runtime")
 #: socket must finish its handshake within it.
 IDLE_TIMEOUT_S = 30.0
 CLOSE_TIMEOUT_S = 1.0
+#: Bytes per write (and per paced step).
+CHUNK_BYTES = 8192
 
 
 class SpeedTestOrigin:
     """The killable origin byte server."""
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        pace_s: float = 0.0,
-        chunk_bytes: int = 8192,
-    ) -> None:
-        if chunk_bytes <= 0:
-            raise ConfigurationError(
-                f"chunk_bytes must be positive: {chunk_bytes!r}"
-            )
+    def __init__(self, host: str = "127.0.0.1", pace_s: float = 0.0) -> None:
         self.host = host
         self.pace_s = pace_s
-        self.chunk_bytes = chunk_bytes
         self.port: Optional[int] = None
         self.requests_served = 0
         self.bytes_served = 0
@@ -84,7 +76,7 @@ class SpeedTestOrigin:
             remaining = int(parts[1])
             self.requests_served += 1
             while remaining > 0:
-                n = min(self.chunk_bytes, remaining)
+                n = min(CHUNK_BYTES, remaining)
                 writer.write(b"\0" * n)
                 # Unbounded on purpose: the proxy's watermark pause must
                 # propagate here as TCP backpressure — parking this

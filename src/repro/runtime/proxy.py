@@ -69,10 +69,22 @@ log = logging.getLogger("repro.runtime")
 CHUNK = 64 * 1024
 #: Hard cap on simultaneously open proxied connections.
 MAX_CONNECTIONS = 1024
+#: Hard cap on simultaneously registered clients.
+MAX_CLIENTS = 256
 #: Global buffered-byte cap across all clients (admission + pause).
 MAX_BUFFERED_BYTES = 64 * 1024 * 1024
-#: Cap on the origin-dial retry backoff, which doubles per attempt.
+#: The CONNECT header must arrive within this window.
+HANDSHAKE_TIMEOUT_S = 5.0
+#: One origin dial attempt may take at most this long.
+DIAL_TIMEOUT_S = 2.0
+#: Extra dial attempts after the first failure.
+DIAL_RETRIES = 2
+#: First dial retry backoff; doubles per attempt up to the max.
+DIAL_BACKOFF_BASE_S = 0.05
+#: Cap on the origin-dial retry backoff.
 DIAL_BACKOFF_MAX_S = 1.0
+#: Liveness reaper poll interval.
+REAP_INTERVAL_S = 0.25
 #: A relay direction idle this long is considered finished.
 IDLE_TIMEOUT_S = 30.0
 #: Bound on one writer drain or close (a stuck client is aborted).
@@ -89,42 +101,24 @@ LIVE_COST_MODEL = LinearCostModel(overhead_s=0.0, per_byte_s=8 / 12.5e6)
 
 @dataclass
 class AsyncProxyConfig:
-    """Knobs of the live proxy."""
+    """The live proxy's address and the settings its callers vary."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral, read back from .port
     #: Fixed burst interval; the live proxy has no variable interval.
     burst_interval_s: float = 0.1
 
-    # -- admission / backpressure -----------------------------------------
-    #: Hard cap on simultaneously registered clients.
-    max_clients: int = 256
+    # -- backpressure -------------------------------------------------------
     #: Per-client queue high watermark: past this the origin read pauses.
     queue_high_bytes: int = 2 * 1024 * 1024
     #: Per-client low watermark: reads resume once the queue drains here.
     queue_low_bytes: int = 512 * 1024
-
-    # -- connection lifecycle ---------------------------------------------
-    #: CONNECT header must arrive within this window.
-    handshake_timeout_s: float = 5.0
-    #: One origin dial attempt may take at most this long.
-    dial_timeout_s: float = 2.0
-    #: Extra dial attempts after the first failure.
-    dial_retries: int = 2
-    #: First retry backoff; doubles per attempt up to the max.
-    dial_backoff_base_s: float = 0.05
 
     # -- liveness ----------------------------------------------------------
     #: Uplink silence before a client's burst slot is reclaimed.
     silence_timeout_s: float = 2.0
     #: Uplink silence before the client is evicted outright.
     evict_timeout_s: float = 6.0
-    #: Reaper poll interval.
-    reap_interval_s: float = 0.25
-
-    # -- supervision -------------------------------------------------------
-    #: Scheduler/reaper restart backoff after an unexpected crash.
-    restart_backoff_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.burst_interval_s is None:
@@ -248,10 +242,7 @@ class AsyncProxy:
         self._clients: dict[str, _ClientState] = {}
         self._connections: set[_Connection] = set()
         self._handler_tasks: set[asyncio.Task] = set()
-        self._supervisor = TaskSupervisor(
-            restart_backoff_s=self.config.restart_backoff_s,
-            on_restart=self._on_service_restart,
-        )
+        self._supervisor = TaskSupervisor(on_restart=self._on_service_restart)
         #: Optional chaos hook: ``filter(payload, addr, kind) -> deliver?``
         self.control_filter: Optional[
             Callable[[bytes, tuple[str, int], str], bool]
@@ -386,7 +377,7 @@ class AsyncProxy:
     ) -> None:
         try:
             header = await asyncio.wait_for(
-                reader.readline(), timeout=self.config.handshake_timeout_s
+                reader.readline(), timeout=HANDSHAKE_TIMEOUT_S
             )
         except (asyncio.TimeoutError, ConnectionError, OSError):
             await self._refuse(writer, "bad-connect", count=False)
@@ -455,12 +446,11 @@ class AsyncProxy:
 
     def _admission_refusal(self, client_id: str) -> Optional[str]:
         """The refusal reason, or None when the connection is admitted."""
-        config = self.config
         if len(self._connections) >= MAX_CONNECTIONS:
             return "overloaded"
         if (
             client_id not in self._clients
-            and len(self._clients) >= config.max_clients
+            and len(self._clients) >= MAX_CLIENTS
         ):
             return "overloaded"
         if self._buffered_bytes >= MAX_BUFFERED_BYTES:
@@ -487,10 +477,9 @@ class AsyncProxy:
         self, host: str, port: int
     ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         """Dial the origin with a timeout and bounded backoff retries."""
-        config = self.config
-        backoff = config.dial_backoff_base_s
+        backoff = DIAL_BACKOFF_BASE_S
         last: Optional[BaseException] = None
-        for attempt in range(config.dial_retries + 1):
+        for attempt in range(DIAL_RETRIES + 1):
             if attempt:
                 self.obs.inc("runtime.dial_retries")
                 await asyncio.sleep(backoff)
@@ -498,13 +487,13 @@ class AsyncProxy:
             try:
                 return await asyncio.wait_for(
                     asyncio.open_connection(host, port),
-                    timeout=config.dial_timeout_s,
+                    timeout=DIAL_TIMEOUT_S,
                 )
             except (OSError, asyncio.TimeoutError) as exc:
                 last = exc
         raise SocketError(
             f"origin dial {host}:{port} failed after "
-            f"{config.dial_retries + 1} attempts: {last!r}"
+            f"{DIAL_RETRIES + 1} attempts: {last!r}"
         )
 
     def _register(self, client_id: str, control_port: int) -> _ClientState:
@@ -652,7 +641,7 @@ class AsyncProxy:
         """Reclaim slots of silent clients; evict the long-dead ones."""
         config = self.config
         while True:
-            await asyncio.sleep(config.reap_interval_s)
+            await asyncio.sleep(REAP_INTERVAL_S)
             now = self._now()
             for client_id in list(self._clients):
                 state = self._clients[client_id]

@@ -27,18 +27,19 @@ from repro.errors import ConfigurationError
 
 log = logging.getLogger("repro.runtime")
 
+#: First restart backoff of a crashed service; doubles per restart.
+RESTART_BACKOFF_S = 0.05
+#: Cap on the doubling restart backoff.
+RESTART_BACKOFF_MAX_S = 1.0
+
 
 class TaskSupervisor:
     """Owns, restarts, and reliably tears down runtime tasks."""
 
     def __init__(
         self,
-        restart_backoff_s: float = 0.05,
-        restart_backoff_max_s: float = 1.0,
         on_restart: Optional[Callable[[str, BaseException], None]] = None,
     ) -> None:
-        self.restart_backoff_s = restart_backoff_s
-        self.restart_backoff_max_s = restart_backoff_max_s
         self.on_restart = on_restart
         self.restarts = 0
         self.failures: list[tuple[str, BaseException]] = []
@@ -90,7 +91,7 @@ class TaskSupervisor:
     async def _run_service(
         self, name: str, factory: Callable[[], Awaitable[None]]
     ) -> None:
-        backoff = self.restart_backoff_s
+        backoff = RESTART_BACKOFF_S
         while True:
             try:
                 await factory()
@@ -111,7 +112,7 @@ class TaskSupervisor:
             if self.on_restart is not None:
                 self.on_restart(name, failure)
             await asyncio.sleep(backoff)
-            backoff = min(backoff * 2.0, self.restart_backoff_max_s)
+            backoff = min(backoff * 2.0, RESTART_BACKOFF_MAX_S)
 
     # -- teardown ----------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Simulator event loop and primitive events.
 
-The kernel is intentionally small: a binary heap of ``(time, priority,
-seq, entry)`` tuples and an :class:`Event` type with success/failure
+The kernel is intentionally small: a binary heap of ``(time, seq,
+entry)`` tuples and an :class:`Event` type with success/failure
 semantics. Processes (see :mod:`repro.sim.process`) are built on top of
 these primitives.
 
@@ -19,8 +19,7 @@ deliberately flat:
   a tiny :class:`_Callback` cell instead of a full :class:`Event` plus
   a callback list;
 * :class:`Timeout` initializes its slots and pushes onto the heap
-  directly rather than chaining through ``Event.__init__`` and
-  ``_enqueue``.
+  directly rather than chaining through ``Event.__init__``.
 
 Every shortcut preserves the enqueue *order* (one heap push per
 scheduling action, in the same program order), which is what keeps
@@ -34,11 +33,6 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
-
-#: Priority for ordinary events.
-NORMAL = 1
-#: Priority for urgent events (fire before NORMAL events at the same time).
-URGENT = 0
 
 
 class Event:
@@ -99,7 +93,7 @@ class Event:
             raise SimulationError("event is already scheduled")
         self._scheduled = True
         sim._seq += 1
-        heappush(sim._heap, (sim._now, NORMAL, sim._seq, self))
+        heappush(sim._heap, (sim._now, sim._seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -115,7 +109,7 @@ class Event:
             raise SimulationError("event is already scheduled")
         self._scheduled = True
         sim._seq += 1
-        heappush(sim._heap, (sim._now, NORMAL, sim._seq, self))
+        heappush(sim._heap, (sim._now, sim._seq, self))
         return self
 
     def _run_callbacks(self) -> None:
@@ -145,7 +139,7 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        # Flattened Event.__init__ + _enqueue: a Timeout is born
+        # Flattened Event.__init__ and scheduling: a Timeout is born
         # triggered and scheduled, so the generic machinery is pure
         # overhead on the hottest allocation in the simulator.
         self.sim = sim
@@ -156,7 +150,7 @@ class Timeout(Event):
         self._processed = False
         self.delay = delay
         sim._seq += 1
-        heappush(sim._heap, (sim._now + delay, NORMAL, sim._seq, self))
+        heappush(sim._heap, (sim._now + delay, sim._seq, self))
 
 
 class _Callback:
@@ -258,7 +252,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, int, Any]] = []
+        self._heap: list[tuple[float, int, Any]] = []
         self._seq = 0
 
     @property
@@ -267,13 +261,6 @@ class Simulator:
         return self._now
 
     # -- scheduling ---------------------------------------------------------
-
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
-        if event._scheduled:
-            raise SimulationError("event is already scheduled")
-        event._scheduled = True
-        self._seq += 1
-        heappush(self._heap, (self._now + delay, priority, self._seq, event))
 
     def event(self) -> Event:
         """Create a fresh, untriggered event."""
@@ -308,7 +295,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative call_later delay: {delay!r}")
         self._seq += 1
-        heappush(self._heap, (self._now + delay, NORMAL, self._seq, _Callback(func)))
+        heappush(self._heap, (self._now + delay, self._seq, _Callback(func)))
 
     def call_later1(
         self, delay: float, func: Callable[[Any], None], arg: Any
@@ -318,7 +305,7 @@ class Simulator:
             raise SimulationError(f"negative call_later delay: {delay!r}")
         self._seq += 1
         heappush(
-            self._heap, (self._now + delay, NORMAL, self._seq, _Call1(func, arg))
+            self._heap, (self._now + delay, self._seq, _Call1(func, arg))
         )
 
     def call_at(self, when: float, func: Callable[[], None]) -> None:
@@ -328,7 +315,7 @@ class Simulator:
                 f"cannot schedule in the past: {when} < now={self._now}"
             )
         self._seq += 1
-        heappush(self._heap, (when, NORMAL, self._seq, _Callback(func)))
+        heappush(self._heap, (when, self._seq, _Callback(func)))
 
     def call_at1(
         self, when: float, func: Callable[[Any], None], arg: Any
@@ -339,7 +326,7 @@ class Simulator:
                 f"cannot schedule in the past: {when} < now={self._now}"
             )
         self._seq += 1
-        heappush(self._heap, (when, NORMAL, self._seq, _Call1(func, arg)))
+        heappush(self._heap, (when, self._seq, _Call1(func, arg)))
 
     # -- running --------------------------------------------------------------
 
@@ -356,7 +343,7 @@ class Simulator:
         """
         if not self._heap:
             raise SimulationError("no scheduled events to step")
-        when, _priority, _seq, entry = heappop(self._heap)
+        when, _seq, entry = heappop(self._heap)
         if when < self._now:
             raise SimulationError("event heap corrupted: time went backwards")
         self._now = when
@@ -375,12 +362,12 @@ class Simulator:
             while heap:
                 entry = heappop(heap)
                 self._now = entry[0]
-                entry[3]._run_callbacks()
+                entry[2]._run_callbacks()
             return
         if until < self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
         while heap and heap[0][0] <= until:
             entry = heappop(heap)
             self._now = entry[0]
-            entry[3]._run_callbacks()
+            entry[2]._run_callbacks()
         self._now = until

@@ -7,7 +7,7 @@ propagate naturally and can be handled with ``try/except``).
 
 A :class:`Process` is itself an event: it fires with the generator's
 return value when the generator finishes, so processes can be joined by
-yielding them, composed with ``any_of``/``all_of``, and interrupted.
+yielding them and composed with ``any_of``/``all_of``.
 
 Hot-path note: process startup and resumption dominate sweep profiles
 (hundreds of thousands of spawns/resumes per cold figure-4 run), so the
@@ -21,20 +21,10 @@ completion), so traces stay byte-for-byte the same.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Generator
 
 from repro.errors import ProcessError
 from repro.sim.core import Event, Simulator
-
-_PENDING = Event._PENDING
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class _StartTrigger:
@@ -51,9 +41,9 @@ _START = _StartTrigger()
 class Process(Event):
     """A running simulation process wrapping a generator."""
 
-    __slots__ = ("_generator", "_waiting_on", "name", "_send", "_throw", "_resume_cb")
+    __slots__ = ("_generator", "name", "_send", "_throw", "_resume_cb")
 
-    def __init__(self, sim: Simulator, generator: Generator, name: str = "") -> None:
+    def __init__(self, sim: Simulator, generator: Generator) -> None:
         try:
             send = generator.send
             throw = generator.throw
@@ -65,9 +55,8 @@ class Process(Event):
         self._generator = generator
         self._send = send
         self._throw = throw
-        self._waiting_on: Event | None = None
         self._resume_cb = self._resume
-        self.name = name or getattr(generator, "__name__", "process")
+        self.name = getattr(generator, "__name__", "process")
         # Kick off the process at the current instant (one heap push,
         # exactly like the bootstrap Event it replaces).
         sim.call_later(0.0, self._bootstrap)
@@ -75,38 +64,10 @@ class Process(Event):
     def _bootstrap(self) -> None:
         self._resume(_START)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant.
-
-        Interrupting a finished process is an error; interrupting a
-        process twice before it resumes is also an error.
-        """
-        if self._value is not _PENDING:
-            raise ProcessError(f"cannot interrupt finished process {self.name!r}")
-        interrupt_event = Event(self.sim)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event.add_callback(self._resume_cb)
-        self.sim._enqueue(interrupt_event, delay=0.0, priority=0)
-
     # -- internal ----------------------------------------------------------
 
     def _resume(self, trigger) -> None:
-        if self._value is not _PENDING:
-            return  # process already finished (e.g. interrupt raced completion)
-        waiting = self._waiting_on
-        if waiting is not None and trigger is not waiting:
-            # A stale wakeup: after an interrupt the process may have moved
-            # on to waiting on another event, but the original one still
-            # fires. Only genuine interrupts may preempt the current wait.
-            if trigger._ok or not isinstance(trigger._value, Interrupt):
-                return
-        self._waiting_on = None
+        # The one event the process waits on resumes it, exactly once.
         try:
             if trigger._ok:
                 target = self._send(trigger._value)
@@ -114,9 +75,6 @@ class Process(Event):
                 target = self._throw(trigger._value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt as exc:
-            self.fail(ProcessError(f"process {self.name!r} died on interrupt: {exc}"))
             return
         except BaseException as exc:  # propagate real errors loudly
             self.fail(exc)
@@ -126,7 +84,6 @@ class Process(Event):
                 f"process {self.name!r} yielded {target!r}; processes must "
                 "yield Event instances"
             )
-        self._waiting_on = target
         callbacks = target.callbacks
         if callbacks is None:  # already processed: resume immediately
             self._resume(target)

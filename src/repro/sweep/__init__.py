@@ -16,8 +16,8 @@ baseline, the postmortem replay sweep) runs through this subsystem:
   bounded retries; aggregated output is ordered by spec index and
   byte-identical to the serial path;
 * :class:`~repro.sweep.engine.ExecutionReport` — cache hits/misses,
-  retries, per-run wall time, surfaced through the obs metrics
-  registry and the ``repro sweep`` CLI.
+  retries, per-run wall time, surfaced through the ``repro sweep``,
+  ``figure``, ``table`` and ``report`` CLI commands.
 
 See DESIGN.md §10 for the cache-key derivation and the determinism
 argument for process fan-out.

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError, SweepExecutionError
-from repro.obs import NULL_RECORDER, Recorder
 from repro.sweep.cache import ResultCache, run_key
 from repro.sweep.pool import chunk_runs, shared_pool
 from repro.sweep.spec import RunSpec, SweepSpec
@@ -106,14 +105,6 @@ class SweepOutcome:
     results: list[Any]
     report: ExecutionReport
 
-    def rows(self) -> list[dict]:
-        """Label dicts zipped with results, for drivers that keep their
-        row-building inline."""
-        return [
-            {**dict(run.label), "result": result}
-            for run, result in zip(self.spec.runs, self.results)
-        ]
-
 
 def _execute_run(task: str, params: dict) -> tuple[bool, Any]:
     """Worker entry: run one task, never raise across the boundary.
@@ -137,11 +128,8 @@ class SweepEngine:
         jobs: worker processes; ``1`` (default) runs serially in-process.
         cache: a :class:`ResultCache`, or None to disable caching.
         retries: extra attempts per failing run before it counts as
-            failed (bounded, never infinite).
-        allow_failures: when True, failed runs yield ``None`` results
-            instead of raising :class:`SweepExecutionError`.
-        obs: recorder receiving ``sweep.*`` metrics (cache hit/miss,
-            retry and failure counters, per-run wall-time histogram).
+            failed (bounded, never infinite). A spec with a failed run
+            raises :class:`SweepExecutionError` once every run is done.
     """
 
     def __init__(
@@ -149,8 +137,6 @@ class SweepEngine:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         retries: int = 1,
-        allow_failures: bool = False,
-        obs: Recorder = NULL_RECORDER,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -159,8 +145,6 @@ class SweepEngine:
         self.jobs = jobs
         self.cache = cache
         self.retries = retries
-        self.allow_failures = allow_failures
-        self.obs = obs
         #: Reports of every spec this engine has run, in order.
         self.reports: list[ExecutionReport] = []
 
@@ -223,10 +207,9 @@ class SweepEngine:
             )
         report.wall_s = time.perf_counter() - started
         self.reports.append(report)
-        self._publish_metrics(report)
 
         failed = [r for r in report.runs if r.error is not None]
-        if failed and not self.allow_failures:
+        if failed:
             detail = "; ".join(
                 f"run {r.index} ({r.task}) after {r.attempts} attempt(s)"
                 for r in failed
@@ -339,29 +322,3 @@ class SweepEngine:
                         run, ok, payload, attempts[run.index], wall_s,
                         results, report,
                     )
-
-    # -- observability -----------------------------------------------------
-
-    def _publish_metrics(self, report: ExecutionReport) -> None:
-        obs = self.obs
-        obs.inc("sweep.runs", report.total, spec=report.spec_name)
-        obs.inc("sweep.cache.hits", report.cache_hits, spec=report.spec_name)
-        obs.inc(
-            "sweep.cache.misses", report.cache_misses, spec=report.spec_name
-        )
-        obs.inc("sweep.executed", report.executed, spec=report.spec_name)
-        if report.retries:
-            obs.inc("sweep.retries", report.retries, spec=report.spec_name)
-        if report.failures:
-            obs.inc("sweep.failures", report.failures, spec=report.spec_name)
-        if report.corrupt_cache_entries:
-            obs.inc(
-                "sweep.cache.corrupt",
-                report.corrupt_cache_entries,
-                spec=report.spec_name,
-            )
-        for record in report.runs:
-            if not record.cached:
-                obs.observe(
-                    "sweep.run_wall_s", record.wall_s, spec=report.spec_name
-                )

@@ -25,16 +25,6 @@ def us(value: float) -> float:
     return value * 1e-6
 
 
-def seconds(value: float) -> float:
-    """Identity helper for symmetry; seconds are the native unit."""
-    return float(value)
-
-
-def minutes(value: float) -> float:
-    """Minutes expressed in seconds."""
-    return value * 60.0
-
-
 # --------------------------------------------------------------------------
 # Data sizes
 # --------------------------------------------------------------------------
@@ -58,11 +48,6 @@ def mib(value: float) -> int:
 # --------------------------------------------------------------------------
 
 
-def bps(value: float) -> float:
-    """Bits per second (identity helper)."""
-    return float(value)
-
-
 def kbps(value: float) -> float:
     """Kilobits per second expressed in bits per second.
 
@@ -77,11 +62,6 @@ def mbps(value: float) -> float:
     return value * 1e6
 
 
-def bytes_per_second(rate_bps: float) -> float:
-    """Convert a bit rate into a byte rate."""
-    return rate_bps / 8.0
-
-
 def transmit_time(size_bytes: int, rate_bps: float) -> float:
     """Serialization delay of ``size_bytes`` at ``rate_bps``.
 
@@ -91,18 +71,3 @@ def transmit_time(size_bytes: int, rate_bps: float) -> float:
     if rate_bps <= 0:
         raise ConfigurationError(f"rate must be positive, got {rate_bps!r}")
     return (size_bytes * 8.0) / rate_bps
-
-
-# --------------------------------------------------------------------------
-# Energy
-# --------------------------------------------------------------------------
-
-
-def mj(value: float) -> float:
-    """Millijoules expressed in joules."""
-    return value * 1e-3
-
-
-def joules(value: float) -> float:
-    """Identity helper; joules are the native energy unit."""
-    return float(value)

@@ -29,23 +29,21 @@ from repro.wnic.states import Wnic
 
 #: UDP port beacons are broadcast on.
 BEACON_PORT = 1000
-#: Default beacon interval (~100 ms, the 802.11 default of 102.4 ms).
-DEFAULT_BEACON_INTERVAL_S = 0.1
+#: Beacon interval (~100 ms, the 802.11 default of 102.4 ms).
+BEACON_INTERVAL_S = 0.1
 #: Beacon frame payload bytes.
 BEACON_SIZE = 60
+#: A station wakes this long before each beacon.
+WAKE_GUARD_S = 0.002
+#: A listed station dozes again once no data arrived for this long.
+DRAIN_GRACE_S = 0.05
 
 
 class PsmAccessPoint(AccessPoint):
     """An AP that implements PSM frame buffering and TIM beacons."""
 
-    def __init__(
-        self,
-        *args,
-        beacon_interval_s: float = DEFAULT_BEACON_INTERVAL_S,
-        **kwargs,
-    ) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.beacon_interval_s = beacon_interval_s
         self._psm_stations: dict[str, Wnic] = {}
         self._buffers: dict[str, deque[Packet]] = {}
         self._beacon_socket = UdpSocket(self, BEACON_PORT)
@@ -71,7 +69,7 @@ class PsmAccessPoint(AccessPoint):
 
     def _beacon_loop(self):
         while True:
-            yield self.sim.timeout(self.beacon_interval_s)
+            yield self.sim.timeout(BEACON_INTERVAL_S)
             tim = sorted(ip for ip, buf in self._buffers.items() if buf)
             self._beacon_socket.broadcast(
                 BEACON_SIZE, BEACON_PORT, meta={"psm_beacon": True, "tim": tim}
@@ -100,15 +98,11 @@ class PsmClient:
         node: Node,
         wnic: Wnic,
         ap: PsmAccessPoint,
-        wake_guard_s: float = 0.002,
-        drain_grace_s: float = 0.05,
     ) -> None:
         self.node = node
         self.sim = node.sim
         self.wnic = wnic
         self.ap = ap
-        self.wake_guard_s = wake_guard_s
-        self.drain_grace_s = drain_grace_s
         node.interfaces["wl0"].rx_gate = wnic.can_receive
         self._beacon_socket = UdpSocket(node, BEACON_PORT, on_receive=self._on_beacon)
         self._wakeup = None
@@ -137,26 +131,27 @@ class PsmClient:
 
     def _run(self):
         sim = self.sim
-        interval = self.ap.beacon_interval_s
         self.wnic.sleep()
         beacon_index = 1
         while True:
-            target = beacon_index * interval - self.wake_guard_s
+            target = beacon_index * BEACON_INTERVAL_S - WAKE_GUARD_S
             if target > sim.now:
                 yield sim.timeout(target - sim.now)
             self.wnic.wake()
             self._wakeup = sim.event()
             # Wait to learn whether we are listed; fall back after a grace
             # period so a lost beacon cannot strand us awake forever.
-            grace = sim.timeout(self.wake_guard_s + self.drain_grace_s)
+            grace = sim.timeout(WAKE_GUARD_S + DRAIN_GRACE_S)
             result = yield sim.any_of([self._wakeup, grace])
             while self._wakeup is not None and not self._wakeup.processed:
                 # Listed in the TIM (or beacon lost): stay awake until the
                 # buffer drains or traffic goes quiet.
                 idle_for = sim.now - self._last_data_at
-                if idle_for >= self.drain_grace_s:
+                if idle_for >= DRAIN_GRACE_S:
                     break
-                yield sim.timeout(self.drain_grace_s - idle_for)
+                yield sim.timeout(DRAIN_GRACE_S - idle_for)
             self._wakeup = None
             self.wnic.sleep()
-            beacon_index = max(beacon_index + 1, int(sim.now / interval) + 1)
+            beacon_index = max(
+                beacon_index + 1, int(sim.now / BEACON_INTERVAL_S) + 1
+            )

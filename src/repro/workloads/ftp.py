@@ -18,12 +18,11 @@ FTP_PORT = 21
 class FtpServerApp:
     """Serves one file per connection: read request, stream, close."""
 
-    def __init__(self, server: Node, port: int = FTP_PORT) -> None:
+    def __init__(self, server: Node) -> None:
         self.server = server
-        self.port = port
         self.files_served = 0
         self.bytes_served = 0
-        TcpListener(server, port, self._on_accept)
+        TcpListener(server, FTP_PORT, self._on_accept)
 
     def _on_accept(self, conn: TcpConnection) -> None:
         state = {"request_bytes": 0, "size": None, "sent": False}

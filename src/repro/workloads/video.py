@@ -47,6 +47,13 @@ FEEDBACK_INTERVAL_S = 2.0
 #: Reported loss above this triggers a downshift.
 ADAPT_LOSS_THRESHOLD = 0.05
 
+#: VBR granularity: one rate draw per segment.
+SEGMENT_S = 0.5
+#: Payload of one datagram (a typical RealVideo packet).
+PACKET_PAYLOAD = 700
+#: Lognormal spread of the per-segment rate factor.
+RATE_SIGMA = 0.35
+
 
 @dataclass
 class VideoStreamConfig:
@@ -54,9 +61,6 @@ class VideoStreamConfig:
 
     nominal_kbps: int = 56
     duration_s: float = 119.0  # the 1:59 trailer
-    segment_s: float = 0.5  # VBR granularity
-    packet_payload: int = 700  # typical RealVideo datagram
-    rate_sigma: float = 0.35  # lognormal VBR spread
     adaptive: bool = True
 
     def __post_init__(self) -> None:
@@ -65,7 +69,7 @@ class VideoStreamConfig:
                 f"unknown tier {self.nominal_kbps}; "
                 f"choose from {sorted(EFFECTIVE_BITRATE_BPS)}"
             )
-        if self.duration_s <= 0 or self.segment_s <= 0:
+        if self.duration_s <= 0:
             raise ConfigurationError("durations must be positive")
 
     @property
@@ -146,31 +150,27 @@ class VideoServerApp:
 
     def _tick(self) -> None:
         sim = self.sim
-        config = self.config
         if sim.now >= self._end_at:
             self.done = True
             return
         if self._segment_left == 0:
             rate = EFFECTIVE_BITRATE_BPS[self.current_tier]
-            factor = float(
-                np.exp(self.rng.normal(0.0, config.rate_sigma))
-            )
+            factor = float(np.exp(self.rng.normal(0.0, RATE_SIGMA)))
             segment_bytes = max(
-                config.packet_payload,
-                int(rate * factor * config.segment_s / 8),
+                PACKET_PAYLOAD, int(rate * factor * SEGMENT_S / 8)
             )
-            n_packets = max(1, round(segment_bytes / config.packet_payload))
+            n_packets = max(1, round(segment_bytes / PACKET_PAYLOAD))
             self._segment_left = n_packets
-            self._spacing = config.segment_s / n_packets
+            self._spacing = SEGMENT_S / n_packets
         self._socket.sendto(
-            config.packet_payload,
+            PACKET_PAYLOAD,
             self.client_endpoint,
             seq=self._seq,
             meta={"stream": "video", "tier": self.current_tier},
         )
         self._seq += 1
         self.packets_sent += 1
-        self.bytes_sent += config.packet_payload
+        self.bytes_sent += PACKET_PAYLOAD
         self._segment_left -= 1
         sim.call_later(self._spacing, self._tick)
 
@@ -183,7 +183,6 @@ class VideoClientApp:
         client: Node,
         server_endpoint: Endpoint,
         feedback_endpoint: Optional[Endpoint] = None,
-        local_port: int = VIDEO_PORT,
         report_offset_s: float = 0.0,
     ) -> None:
         self.client = client
@@ -197,9 +196,9 @@ class VideoClientApp:
         self._window_received = 0
         self._window_highest = -1
         self._window_base = -1
-        self._socket = UdpSocket(client, local_port, on_receive=self._on_packet)
+        self._socket = UdpSocket(client, VIDEO_PORT, on_receive=self._on_packet)
         self._feedback_socket = (
-            UdpSocket(client, local_port + 1000) if feedback_endpoint else None
+            UdpSocket(client, VIDEO_PORT + 1000) if feedback_endpoint else None
         )
         if feedback_endpoint is not None:
             self.sim.process(self._report_loop())

@@ -35,6 +35,13 @@ HTTP_PORT = 80
 #: Max concurrent object fetches per client (HTTP/1.0 browsers used 2-4).
 MAX_CONCURRENT = 2
 
+#: The browsing script's shape: mean think time between pages, lognormal
+#: object sizes (median and cap, in KiB), and mean objects per page.
+MEAN_THINK_S = 4.0
+MEAN_OBJECT_KB = 12.0
+MAX_OBJECT_KB = 150.0
+MEAN_OBJECTS_PER_PAGE = 5.0
+
 
 @dataclass(frozen=True, slots=True)
 class PageVisit:
@@ -60,13 +67,7 @@ class WebScript:
 
     @classmethod
     def generate(
-        cls,
-        rng: np.random.Generator,
-        n_pages: int = 30,
-        mean_think_s: float = 4.0,
-        mean_object_kb: float = 12.0,
-        max_object_kb: float = 150.0,
-        mean_objects_per_page: float = 5.0,
+        cls, rng: np.random.Generator, n_pages: int = 30
     ) -> "WebScript":
         """Draw a script: lognormal object sizes, geometric object counts,
         exponential think times — the classic web traffic shape."""
@@ -74,15 +75,15 @@ class WebScript:
             raise ConfigurationError("need at least one page")
         visits = []
         for _ in range(n_pages):
-            n_objects = 1 + int(rng.geometric(1.0 / mean_objects_per_page))
+            n_objects = 1 + int(rng.geometric(1.0 / MEAN_OBJECTS_PER_PAGE))
             sizes = []
             for _ in range(n_objects):
                 size_kb = float(
-                    np.exp(rng.normal(np.log(mean_object_kb), 1.0))
+                    np.exp(rng.normal(np.log(MEAN_OBJECT_KB), 1.0))
                 )
-                size_kb = min(max_object_kb, max(1.0, size_kb))
+                size_kb = min(MAX_OBJECT_KB, max(1.0, size_kb))
                 sizes.append(int(size_kb * 1024))
-            think = float(rng.exponential(mean_think_s))
+            think = float(rng.exponential(MEAN_THINK_S))
             visits.append(PageVisit(tuple(sizes), think))
         return cls(tuple(visits))
 
@@ -95,12 +96,11 @@ class WebServerApp:
     real server would parse.
     """
 
-    def __init__(self, server: Node, port: int = HTTP_PORT) -> None:
+    def __init__(self, server: Node) -> None:
         self.server = server
-        self.port = port
         self.requests_served = 0
         self.bytes_served = 0
-        TcpListener(server, port, self._on_accept)
+        TcpListener(server, HTTP_PORT, self._on_accept)
         self._conn_meta: dict[TcpConnection, int] = {}
 
     def _on_accept(self, conn: TcpConnection) -> None:

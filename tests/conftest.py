@@ -35,3 +35,14 @@ def pytest_collection_modifyitems(config, items):
         marks = {mark.name for mark in item.iter_markers()}
         if not marks & {"slow", "bench"}:
             item.add_marker(pytest.mark.tier1)
+
+
+@pytest.fixture
+def quiet_testbed(monkeypatch):
+    """The testbed without AP forwarding spikes or channel loss, for the
+    whole test: the AP reads its spike probability as it forwards."""
+    from repro.experiments import scenarios
+    from repro.net import access_point
+
+    monkeypatch.setattr(access_point, "SPIKE_PROB", 0.0)
+    monkeypatch.setattr(scenarios, "MEDIUM_LOSS_RATE", 0.0)

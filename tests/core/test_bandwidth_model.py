@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.core.bandwidth_model import LinearCostModel, calibrate, calibrate_tcp
+from repro.core.bandwidth_model import LinearCostModel, calibrate
 from repro.errors import ConfigurationError
-from repro.net.medium import WirelessMedium
+from repro.net.medium import MAX_BACKOFF_S, WirelessMedium
 from repro.sim import Simulator
 from repro.units import mbps
 
 
 @pytest.fixture
 def medium():
-    return WirelessMedium(Simulator(), rate_bps=mbps(11))
+    return WirelessMedium(Simulator())
 
 
 class TestLinearCostModel:
@@ -63,7 +63,7 @@ class TestCalibration:
         # the backoff margin it deliberately adds.
         actual = medium.airtime(1400 + 62)
         estimated = model.packet_cost(1400)
-        assert actual <= estimated <= actual + medium.max_backoff_s
+        assert actual <= estimated <= actual + MAX_BACKOFF_S
 
     def test_calibration_is_conservative(self, medium):
         """Never underestimates airtime (the paper's overrun concern)."""
@@ -74,12 +74,3 @@ class TestCalibration:
     def test_effective_rate_plausible_for_11mbps(self, medium):
         model = calibrate(medium)
         assert mbps(3) < model.effective_rate_bps(mss=1400) < mbps(8)
-
-    def test_tcp_variant_costs_more_per_packet(self, medium):
-        udp = calibrate(medium)
-        tcp = calibrate_tcp(medium)
-        assert tcp.packet_cost(1000) > udp.packet_cost(1000)
-
-    def test_bad_payload_order_rejected(self, medium):
-        with pytest.raises(ConfigurationError):
-            calibrate(medium, small_payload=1400, large_payload=64)

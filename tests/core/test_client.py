@@ -7,7 +7,6 @@ from repro.core.client import PowerAwareClient
 from repro.core.delay_comp import AdaptiveCompensator
 from repro.core.scheduler import DynamicScheduler
 from repro.errors import SchedulingError
-from repro.experiments import scenarios
 from repro.experiments.scenarios import (
     ScenarioConfig,
     VIDEO_SERVER_IP,
@@ -20,13 +19,15 @@ from repro.sim import Simulator
 from repro.wnic import Wnic
 
 
+#: Every scenario here runs without AP jitter spikes or channel loss
+#: (deterministic-ish timing).
+pytestmark = pytest.mark.usefixtures("quiet_testbed")
+
+
 def quiet_scenario(n_clients=1, seed=1, **scenario_overrides):
-    """A scenario with no AP jitter spikes (deterministic-ish timing)."""
-    config = ScenarioConfig(n_clients=n_clients, seed=seed, **scenario_overrides)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scenarios, "AP_SPIKE_PROB", 0.0)
-        patch.setattr(scenarios, "MEDIUM_LOSS_RATE", 0.0)
-        return build_scenario(config)
+    return build_scenario(
+        ScenarioConfig(n_clients=n_clients, seed=seed, **scenario_overrides)
+    )
 
 
 def with_dynamic_scheduler(scenario, interval=0.2, **client_kwargs):

@@ -8,19 +8,13 @@ from repro.core.client import PowerAwareClient
 from repro.core.delay_comp import AdaptiveCompensator
 from repro.core.schedule import BurstSlot, Schedule
 from repro.core.scheduler import DynamicScheduler
-from repro.experiments import scenarios
 from repro.experiments.scenarios import ScenarioConfig, build_scenario, client_ip
 from repro.net.addr import Endpoint
 from repro.net.udp import UdpSocket
 
 
 def reuse_scenario(reuse=True, n_clients=2, seed=21):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scenarios, "AP_SPIKE_PROB", 0.0)
-        patch.setattr(scenarios, "MEDIUM_LOSS_RATE", 0.0)
-        scenario = build_scenario(
-            ScenarioConfig(n_clients=n_clients, seed=seed)
-        )
+    scenario = build_scenario(ScenarioConfig(n_clients=n_clients, seed=seed))
     scheduler = DynamicScheduler(
         scenario.proxy, calibrate(scenario.medium), interval_s=0.1,
         reuse_schedules=reuse,
@@ -43,6 +37,7 @@ def steady_feed(scenario, index, until, gap=0.03):
     scenario.sim.process(process())
 
 
+@pytest.mark.usefixtures("quiet_testbed")
 class TestScheduleReuse:
     def test_steady_load_produces_reuses(self):
         scenario, scheduler = reuse_scenario(reuse=True)

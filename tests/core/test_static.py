@@ -10,7 +10,6 @@ from repro.core.static_schedule import (
     build_layout,
 )
 from repro.errors import SchedulingError
-from repro.experiments import scenarios
 from repro.experiments.scenarios import (
     ScenarioConfig,
     VIDEO_SERVER_IP,
@@ -55,11 +54,8 @@ class TestLayout:
 
 
 def quiet_scenario(n_clients):
-    """A testbed with no AP jitter spikes and no channel loss."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scenarios, "AP_SPIKE_PROB", 0.0)
-        patch.setattr(scenarios, "MEDIUM_LOSS_RATE", 0.0)
-        return build_scenario(ScenarioConfig(n_clients=n_clients, seed=3))
+    """A testbed for tests run under the ``quiet_testbed`` fixture."""
+    return build_scenario(ScenarioConfig(n_clients=n_clients, seed=3))
 
 
 def static_scenario(n_clients=2, interval=0.1, tcp_weight=0.0, tcp_ips=()):
@@ -81,6 +77,7 @@ def static_scenario(n_clients=2, interval=0.1, tcp_weight=0.0, tcp_ips=()):
     return scenario
 
 
+@pytest.mark.usefixtures("quiet_testbed")
 class TestStaticExecution:
     def test_udp_delivered_in_fixed_slots(self):
         scenario = static_scenario(n_clients=2, interval=0.1)

@@ -128,3 +128,19 @@ def test_cli_spellings_resolve_to_importable_drivers():
     for entry in ENTRIES:
         if entry.driver is not None:
             assert callable(entry.load_driver()), entry.name
+
+
+def test_every_driver_takes_exactly_what_its_callers_pass():
+    """``repro figure``, ``repro table`` and ``refresh_results`` pass
+    ``seed``, ``quick`` and ``engine`` (and the Pareto sweep its
+    ``policies``); a driver knob no caller sets is a constant instead."""
+    import inspect
+
+    for entry in ENTRIES:
+        if entry.driver is None:
+            continue
+        expected = ["seed", "quick", "engine"]
+        if entry.name == "pareto":
+            expected.insert(2, "policies")
+        params = list(inspect.signature(entry.load_driver()).parameters)
+        assert params == expected, entry.name

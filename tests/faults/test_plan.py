@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import parse_burst_loss, parse_churn, parse_window
+from repro.cli import parse_churn, parse_gilbert_elliott, parse_window
 from repro.errors import ConfigurationError
 from repro.faults import (
     ChurnEvent,
@@ -50,10 +50,6 @@ class TestChurnEvent:
 
 
 class TestGilbertElliott:
-    def test_mean_burst_len(self):
-        assert GilbertElliottSpec(0.1, 0.25).mean_burst_len == 4.0
-        assert GilbertElliottSpec(0.1, 0.0).mean_burst_len == float("inf")
-
     @pytest.mark.parametrize("kwargs", [
         {"p_good_bad": 1.5, "p_bad_good": 0.5},
         {"p_good_bad": 0.5, "p_bad_good": -0.1},
@@ -117,6 +113,9 @@ class TestCliParsers:
             parse_churn(text)
 
     def test_parse_burst_loss(self):
+        def parse_burst_loss(text):
+            return parse_gilbert_elliott(text, "burst-loss")
+
         assert parse_burst_loss("0.05:0.4") == GilbertElliottSpec(0.05, 0.4)
         assert parse_burst_loss("0.05:0.4:0.9") == GilbertElliottSpec(
             0.05, 0.4, loss_bad=0.9
@@ -128,4 +127,4 @@ class TestCliParsers:
     @pytest.mark.parametrize("text", ["0.05", "a:b", "2.0:0.4", ""])
     def test_parse_burst_loss_rejects(self, text):
         with pytest.raises(ConfigurationError):
-            parse_burst_loss(text)
+            parse_gilbert_elliott(text, "burst-loss")

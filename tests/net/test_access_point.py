@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net import access_point
 from repro.net.access_point import AccessPoint
 from repro.net.addr import Endpoint
 from repro.net.link import Link
@@ -13,11 +14,11 @@ from repro.sim import RngStreams, Simulator
 from repro.units import mbps, ms
 
 
-def build_infrastructure(sim=None, rng=None, n_clients=2, **ap_kwargs):
+def build_infrastructure(sim=None, rng=None, n_clients=2):
     """wired host -- link -- AP -- medium -- clients."""
     sim = sim or Simulator()
     host = Node(sim, "host", "10.0.2.1")
-    ap = AccessPoint(sim, "ap", "10.0.0.254", rng=rng, **ap_kwargs)
+    ap = AccessPoint(sim, "ap", "10.0.0.254", rng=rng)
     link = Link(sim, mbps(100), ms(0.2))
     host_iface = host.add_interface("eth0")
     link.attach(host_iface, ap.wired)
@@ -63,8 +64,9 @@ def test_round_trip_udp_echo():
         host_socket.sendto(packet.payload_size, packet.src)
 
     host_socket = UdpSocket(host, 7000, on_receive=echo)
-    UdpSocket(client, 6000, on_receive=lambda p: echoed.append(sim.now))
-    UdpSocket(client, 5000).sendto(10, Endpoint(host.ip, 7000), src=Endpoint(client.ip, 6000))
+    UdpSocket(client, 6000, on_receive=lambda p: echoed.append(sim.now)).sendto(
+        10, Endpoint(host.ip, 7000)
+    )
     sim.run()
     assert len(echoed) == 1
 
@@ -81,11 +83,11 @@ def test_forwarding_preserves_fifo_order_despite_jitter():
     assert order == list(range(20))
 
 
-def test_jitter_varies_forwarding_delay():
+def test_jitter_varies_forwarding_delay(monkeypatch):
+    monkeypatch.setattr(access_point, "JITTER_MEAN_S", ms(1))
+    monkeypatch.setattr(access_point, "SPIKE_PROB", 0.2)
     rng = RngStreams(seed=3).get("ap")
-    sim, host, ap, medium, clients = build_infrastructure(
-        rng=rng, jitter_mean_s=ms(1), spike_prob=0.2, spike_max_s=ms(6)
-    )
+    sim, host, ap, medium, clients = build_infrastructure(rng=rng)
     times = []
     UdpSocket(clients[0], 7000, on_receive=lambda p: times.append(sim.now))
     sender = UdpSocket(host, 5000)

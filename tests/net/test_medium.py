@@ -4,13 +4,12 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net.addr import BROADCAST_IP, Endpoint
-from repro.net.medium import WirelessMedium
+from repro.net.medium import MAX_BACKOFF_S
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.udp import UdpSocket
 from repro.obs.recorder import SimRecorder
-from repro.sim import RngStreams, Simulator
-from repro.units import mbps
+from repro.sim import RngStreams
 
 from tests.net.helpers import wireless_cell
 
@@ -96,12 +95,6 @@ def test_missed_unicast_does_not_leak_to_gateway():
     assert leaked == []
 
 
-def test_effective_rate_below_nominal():
-    medium = WirelessMedium(Simulator(), rate_bps=mbps(11))
-    effective = medium.effective_rate_bps()
-    assert mbps(3) < effective < mbps(8)
-
-
 def test_backoff_uses_rng_and_stays_bounded():
     rng = RngStreams(seed=5).get("medium")
     sim, medium, gateway, clients = wireless_cell(n_clients=1, rng=rng)
@@ -113,7 +106,7 @@ def test_backoff_uses_rng_and_stays_bounded():
     sim.run()
     base = medium.airtime(1000 + 62)
     gaps = [b - a for a, b in zip(times, times[1:])]
-    assert all(base <= gap <= base + medium.max_backoff_s for gap in gaps)
+    assert all(base <= gap <= base + MAX_BACKOFF_S for gap in gaps)
 
 
 def test_channel_drop_hook():

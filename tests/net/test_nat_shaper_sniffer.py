@@ -159,8 +159,10 @@ class TestMonitoringStation:
         sender.sendto(10, Endpoint(clients[0].ip, 7000))
         sender.sendto(10, Endpoint(clients[1].ip, 7000))
         sim.run()
-        assert len(list(monitor.frames_to(clients[0].ip))) == 1
-        assert len(list(monitor.frames_from(gateway.ip))) == 2
+        assert [f.dst_ip for f in monitor.frames] == [
+            clients[0].ip, clients[1].ip,
+        ]
+        assert {f.src_ip for f in monitor.frames} == {gateway.ip}
         assert monitor.bytes_captured() > 0
 
     def test_monitor_never_transmits(self):

@@ -107,3 +107,20 @@ def run_strict(coro, timeout_s: float = 30.0):
         f"{[c.get('message') for c in unhandled]!r}"
     )
     return result
+
+
+@pytest.fixture
+def fast_dials(monkeypatch):
+    """One 0.5 s origin dial and no retries, so a dead origin fails fast."""
+    from repro.runtime import proxy as proxy_module
+
+    monkeypatch.setattr(proxy_module, "DIAL_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(proxy_module, "DIAL_RETRIES", 0)
+
+
+@pytest.fixture
+def fast_reaper(monkeypatch):
+    """A 50 ms liveness poll, fine enough for sub-second silence windows."""
+    from repro.runtime import proxy as proxy_module
+
+    monkeypatch.setattr(proxy_module, "REAP_INTERVAL_S", 0.05)

@@ -21,18 +21,13 @@ from repro.runtime.proxy import AsyncProxy, AsyncProxyConfig
 from tests.runtime.conftest import run_strict
 
 
-def _chaos_config(**overrides) -> AsyncProxyConfig:
-    defaults = dict(
-        burst_interval_s=0.05,
-        dial_timeout_s=0.5,
-        dial_retries=0,
-        dial_backoff_base_s=0.01,
-        silence_timeout_s=0.3,
-        evict_timeout_s=0.8,
-        reap_interval_s=0.05,
+pytestmark = pytest.mark.usefixtures("fast_dials", "fast_reaper")
+
+
+def _chaos_config() -> AsyncProxyConfig:
+    return AsyncProxyConfig(
+        burst_interval_s=0.05, silence_timeout_s=0.3, evict_timeout_s=0.8,
     )
-    defaults.update(overrides)
-    return AsyncProxyConfig(**defaults)
 
 
 async def _fetch(client, proxy, origin_port, nbytes=30_000):

@@ -78,7 +78,7 @@ class TestLoadTest:
         assert report.peak_queue_bytes <= report.queue_high_bytes + CHUNK
 
     @pytest.mark.timeout(120)
-    def test_report_under_churn_counts_eviction(self):
+    def test_report_under_churn_counts_eviction(self, fast_reaper):
         plan = FaultPlan(churn=(ChurnEvent(0, 0.2, None),))
         config = LoadTestConfig(
             clients=4,
@@ -90,7 +90,6 @@ class TestLoadTest:
                 burst_interval_s=0.05,
                 silence_timeout_s=0.3,
                 evict_timeout_s=0.8,
-                reap_interval_s=0.05,
             ),
         )
         report = run_strict(run_loadtest(config), timeout_s=90.0)
@@ -112,5 +111,5 @@ class TestLoadTest:
         assert set(row) == {
             "clients", "requests", "ok", "failed", "req_per_s",
             "p50_ms", "p99_ms", "jitter_p99_ms", "peak_queue_kib",
-            "refused", "evicted", "restarts",
+            "refused", "reclaimed", "evicted", "restarts",
         }

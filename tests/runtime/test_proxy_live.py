@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError, OverloadError, ProxyProtocolError
 from repro.obs import SimRecorder
 from repro.runtime.client import AsyncPowerClient
 from repro.runtime.demo import run_demo
+from repro.runtime import proxy as proxy_module
 from repro.runtime.origin import SpeedTestOrigin
 from repro.runtime.proxy import (
     CHUNK,
@@ -38,13 +39,11 @@ def _dead_port() -> int:
         return probe.getsockname()[1]
 
 
+pytestmark = pytest.mark.usefixtures("fast_dials")
+
+
 def _fast_config(**overrides) -> AsyncProxyConfig:
-    defaults = dict(
-        burst_interval_s=0.05,
-        dial_timeout_s=0.5,
-        dial_retries=0,
-        dial_backoff_base_s=0.01,
-    )
+    defaults = dict(burst_interval_s=0.05)
     defaults.update(overrides)
     return AsyncProxyConfig(**defaults)
 
@@ -161,11 +160,13 @@ class TestLiveProxy:
         assert proxy.connections_split == 0
         assert proxy.connections_refused == 1
 
-    def test_admission_limit_overload(self):
+    def test_admission_limit_overload(self, monkeypatch):
+        monkeypatch.setattr(proxy_module, "MAX_CLIENTS", 1)
+
         async def scenario():
             origin = SpeedTestOrigin()
             origin_port = await origin.start()
-            proxy = AsyncProxy(_fast_config(max_clients=1))
+            proxy = AsyncProxy(_fast_config())
             await proxy.start()
             admitted = AsyncPowerClient("admitted")
             shed = AsyncPowerClient("shed")
@@ -397,7 +398,7 @@ class TestTeardown:
 
     def test_stop_mid_handshake_closes_accepted_socket(self):
         async def scenario():
-            proxy = AsyncProxy(_fast_config(handshake_timeout_s=30.0))
+            proxy = AsyncProxy(_fast_config())
             await proxy.start()
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", proxy.port

@@ -5,18 +5,23 @@ import asyncio
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.runtime import supervisor as supervisor_module
 from repro.runtime.supervisor import TaskSupervisor
 
 from tests.runtime.conftest import run_strict
 
 
+@pytest.fixture
+def fast_restarts(monkeypatch):
+    monkeypatch.setattr(supervisor_module, "RESTART_BACKOFF_S", 0.01)
+
+
 class TestSupervisedServices:
-    def test_crashing_service_is_restarted(self):
+    def test_crashing_service_is_restarted(self, fast_restarts):
         async def scenario():
             runs = []
             restarts = []
             supervisor = TaskSupervisor(
-                restart_backoff_s=0.01,
                 on_restart=lambda name, exc: restarts.append((name, exc)),
             )
 
@@ -40,10 +45,10 @@ class TestSupervisedServices:
             isinstance(exc, RuntimeError) for _name, exc in restarts
         )
 
-    def test_unexpected_return_is_restarted(self):
+    def test_unexpected_return_is_restarted(self, fast_restarts):
         async def scenario():
             runs = []
-            supervisor = TaskSupervisor(restart_backoff_s=0.01)
+            supervisor = TaskSupervisor()
 
             async def quitter():
                 runs.append(1)

@@ -2,15 +2,12 @@
 
 The speed program replaced generator processes and Event-based timers
 with a zoo of lightweight heap entries (``Timeout``, ``_Callback``,
-``_Call1``, bare ``Event`` pushes). Determinism rests on three heap
+``_Call1``, bare ``Event`` pushes). Determinism rests on two heap
 invariants that must hold *across every entry kind*, not just the ones
 ``tests/sim/test_properties.py`` exercises:
 
-* **FIFO within a tie** — entries scheduled at the same (time,
-  priority) fire in program order, regardless of which scheduling API
-  created them;
-* **priority before sequence** — at one instant, every URGENT entry
-  fires before any NORMAL entry, and each lane stays FIFO;
+* **FIFO within a tie** — entries scheduled at the same time fire in
+  program order, regardless of which scheduling API created them;
 * **monotonic clock** — ``now`` never decreases, even when callbacks
   schedule further work mid-run and generation-counter cancellation
   (the kernel's cancel idiom, see ``TcpConnection._arm_timer``) leaves
@@ -21,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.sim.core import NORMAL, URGENT
 
 #: A small palette of delays so draws collide and force heap ties.
 TIE_DELAYS = (0.0, 0.25, 0.5, 1.0)
@@ -67,7 +63,7 @@ class TestSameTimeFifo:
     @given(ops=schedules)
     @settings(max_examples=100, deadline=None)
     def test_ties_fire_in_program_order_across_entry_kinds(self, ops):
-        """Same (time, priority) ⇒ program order, whatever the entry kind.
+        """Same time ⇒ program order, whatever the entry kind.
 
         Deferred ``event`` entries re-push at fire time, which lands
         them *after* direct pushes at the same instant — so the FIFO
@@ -108,47 +104,6 @@ class TestSameTimeFifo:
         deferred = sum(1 for kind, d in ops if kind == "event" and d > 0.0)
         sim.run()
         assert sim._seq == len(ops) + deferred
-
-
-class TestPriorityTieBreaking:
-    @given(lanes=st.lists(st.booleans(), min_size=1, max_size=30),
-           delay=st.sampled_from(TIE_DELAYS))
-    @settings(max_examples=100, deadline=None)
-    def test_urgent_lane_drains_before_normal_at_same_instant(
-        self, lanes, delay
-    ):
-        """All URGENT entries at time t fire before any NORMAL entry at
-        t, and each lane individually preserves program order."""
-        sim = Simulator()
-        fired = []
-        for index, urgent in enumerate(lanes):
-            event = sim.event()
-            event.add_callback(lambda e, m=(urgent, index): fired.append(m))
-            sim._enqueue(event, delay, URGENT if urgent else NORMAL)
-        sim.run()
-        assert len(fired) == len(lanes)
-        boundary = sum(1 for urgent in lanes if urgent)
-        assert all(urgent for urgent, _ in fired[:boundary])
-        assert not any(urgent for urgent, _ in fired[boundary:])
-        for lane in (True, False):
-            indices = [i for urgent, i in fired if urgent == lane]
-            assert indices == sorted(indices)
-
-    @given(delay_pairs=st.lists(st.sampled_from(TIE_DELAYS), min_size=1,
-                                max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_time_dominates_priority(self, delay_pairs):
-        """An URGENT entry never jumps ahead of an earlier NORMAL one."""
-        sim = Simulator()
-        fired = []
-        for delay in delay_pairs:
-            sim.call_later(delay, lambda d=delay: fired.append(("normal", d)))
-            event = sim.event()
-            event.add_callback(lambda e, d=delay: fired.append(("urgent", d)))
-            sim._enqueue(event, delay + 0.125, URGENT)
-        sim.run()
-        observed = [d for _lane, d in fired]
-        assert observed == sorted(observed)
 
 
 @st.composite

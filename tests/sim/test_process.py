@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ProcessError
 from repro.sim import Simulator
-from repro.sim.process import Interrupt, Process
+from repro.sim.process import Process
 
 
 class TestProcessBasics:
@@ -88,17 +88,6 @@ class TestProcessBasics:
         with pytest.raises(ValueError, match="boom"):
             sim.run()
 
-    def test_is_alive_lifecycle(self):
-        sim = Simulator()
-
-        def worker():
-            yield sim.timeout(1.0)
-
-        proc = sim.process(worker())
-        assert proc.is_alive
-        sim.run()
-        assert not proc.is_alive
-
 
 class TestFailurePropagation:
     def test_failed_event_is_thrown_into_process(self):
@@ -116,66 +105,3 @@ class TestFailurePropagation:
         sim.process(worker())
         sim.run()
         assert caught == ["bad"]
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_waiting_process(self):
-        sim = Simulator()
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as interrupt:
-                log.append((sim.now, interrupt.cause))
-
-        proc = sim.process(sleeper())
-        sim.call_at(3.0, lambda: proc.interrupt("wake up"))
-        sim.run()
-        assert log == [(3.0, "wake up")]
-
-    def test_interrupted_process_can_keep_running(self):
-        sim = Simulator()
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                pass
-            yield sim.timeout(1.0)
-            log.append(sim.now)
-
-        proc = sim.process(sleeper())
-        sim.call_at(3.0, lambda: proc.interrupt())
-        sim.run()
-        assert log == [4.0]
-
-    def test_stale_event_does_not_resume_twice(self):
-        """After an interrupt, the abandoned timeout must not re-wake us."""
-        sim = Simulator()
-        wakeups = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(5.0)
-            except Interrupt:
-                wakeups.append(("interrupt", sim.now))
-            yield sim.timeout(100.0)
-            wakeups.append(("timeout", sim.now))
-
-        proc = sim.process(sleeper())
-        sim.call_at(1.0, lambda: proc.interrupt())
-        sim.run()
-        assert wakeups == [("interrupt", 1.0), ("timeout", 101.0)]
-
-    def test_interrupt_finished_process_raises(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(0.5)
-
-        proc = sim.process(quick())
-        sim.run()
-        with pytest.raises(ProcessError):
-            proc.interrupt()

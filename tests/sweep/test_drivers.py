@@ -9,9 +9,10 @@ from repro.sweep import ResultCache, SweepEngine
 
 
 class TestWarmCacheDrivers:
-    def test_warm_figure6_runs_zero_simulations(self, tmp_path):
+    def test_warm_figure6_runs_zero_simulations(self, tmp_path, monkeypatch):
         """Cheap tier-1 stand-in for the figure-4 acceptance test."""
-        kwargs = dict(seed=0, quick=True, early_amounts_ms=(0, 6))
+        monkeypatch.setattr(figures, "FIGURE6_EARLY_MS", (0, 6))
+        kwargs = dict(seed=0, quick=True)
         cold_engine = SweepEngine(cache=ResultCache(tmp_path))
         cold = figures.figure6(engine=cold_engine, **kwargs)
         assert cold_engine.last_report.executed == 2

@@ -1,4 +1,4 @@
-"""SweepEngine: serial/parallel identity, retries, isolation, metrics."""
+"""SweepEngine: serial/parallel identity, retries, isolation, reports."""
 
 import pickle
 
@@ -6,8 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError, SweepExecutionError
 from repro.experiments.runner import ClientSpec, ExperimentConfig
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import SimRecorder
 from repro.sweep import ResultCache, RunSpec, SweepEngine, SweepSpec
 
 
@@ -53,20 +51,16 @@ class TestSerialExecution:
                 RunSpec(index=2, task="test-double", params={"x": 3}),
             ),
         )
-        outcome = SweepEngine(allow_failures=True, retries=0).run(spec)
-        assert outcome.results == [2, None, 6]
-        assert outcome.report.executed == 2
-        assert outcome.report.failures == 1
-
-    def test_allow_failures_yields_none_results(self):
-        spec = SweepSpec.from_tasks(
-            "fails", "test-fail", [{"x": 1}, {"x": 2}]
-        )
-        outcome = SweepEngine(allow_failures=True, retries=0).run(spec)
-        assert outcome.results == [None, None]
-        assert outcome.report.failures == 2
-        records = outcome.report.runs
-        assert all("boom" in record.error for record in records)
+        engine = SweepEngine(retries=0)
+        with pytest.raises(SweepExecutionError):
+            engine.run(spec)
+        report = engine.last_report
+        assert report.executed == 2
+        assert report.failures == 1
+        assert [record.error is None for record in report.runs] == [
+            True, False, True,
+        ]
+        assert "boom 9" in report.runs[1].error
 
     def test_bounded_retry_recovers_a_flaky_run(self, tmp_path):
         marker = tmp_path / "attempted"
@@ -112,12 +106,12 @@ class TestParallelExecution:
         spec = SweepSpec.from_tasks(
             "par-fails", "test-fail", [{"x": 1}, {"x": 2}, {"x": 3}]
         )
-        outcome = SweepEngine(
-            jobs=2, allow_failures=True, retries=1
-        ).run(spec)
-        assert outcome.results == [None, None, None]
-        assert outcome.report.failures == 3
-        assert all(r.attempts == 2 for r in outcome.report.runs)
+        engine = SweepEngine(jobs=2, retries=1)
+        with pytest.raises(SweepExecutionError):
+            engine.run(spec)
+        report = engine.last_report
+        assert report.failures == 3
+        assert all(r.attempts == 2 for r in report.runs)
 
     def test_parallel_writes_populate_the_shared_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -151,18 +145,3 @@ class TestReporting:
         report = SweepEngine().run(_double_spec(2)).report
         assert "\n" not in report.summary()
         assert "2 runs" in report.summary()
-
-    def test_metrics_flow_through_the_obs_registry(self):
-        registry = MetricsRegistry()
-        obs = SimRecorder(metrics=registry)
-        SweepEngine(obs=obs).run(_double_spec(3))
-        counters = {
-            (c["name"], tuple(sorted(c["labels"].items()))): c["value"]
-            for c in registry.snapshot()["counters"]
-        }
-        tag = (("spec", "doubles"),)
-        assert counters[("sweep.runs", tag)] == 3
-        assert counters[("sweep.executed", tag)] == 3
-        assert counters[("sweep.cache.misses", tag)] == 3
-        histograms = {h["name"] for h in registry.snapshot()["histograms"]}
-        assert "sweep.run_wall_s" in histograms

@@ -12,10 +12,6 @@ class TestTime:
         assert units.ms(1) == 1e-3
         assert units.us(1) == 1e-6
         assert units.ms(1000) == 1.0
-        assert units.minutes(2) == 120.0
-
-    def test_seconds_identity(self):
-        assert units.seconds(3.5) == 3.5
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_ms_us_consistent_on_integers(self, n):
@@ -54,14 +50,10 @@ class TestRates:
     def test_prefixes_are_decimal(self):
         assert units.kbps(56) == 56_000.0
         assert units.mbps(11) == 11_000_000.0
-        assert units.bps(5.0) == 5.0
 
     @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     def test_mbps_is_1000_kbps(self, rate):
         assert units.mbps(rate) == pytest.approx(units.kbps(rate * 1000.0))
-
-    def test_bytes_per_second(self):
-        assert units.bytes_per_second(units.mbps(8)) == 1_000_000.0
 
     @given(
         st.integers(min_value=0, max_value=10**9),
@@ -76,13 +68,3 @@ class TestRates:
     def test_transmit_time_rejects_bad_rate(self, rate):
         with pytest.raises(ConfigurationError):
             units.transmit_time(100, rate)
-
-
-class TestEnergy:
-    def test_mj_and_joules(self):
-        assert units.mj(1500) == 1.5
-        assert units.joules(2.0) == 2.0
-
-    @given(st.floats(min_value=0.0, max_value=1e9, allow_nan=False))
-    def test_mj_round_trip(self, value):
-        assert units.mj(value) * 1e3 == pytest.approx(value)

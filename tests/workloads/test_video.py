@@ -34,7 +34,6 @@ def make_stream(sim, server, client, nominal=56, duration=10.0, seed=1,
         client,
         Endpoint(server.ip, 20000),
         feedback_endpoint=server_app.feedback_endpoint if feedback else None,
-        local_port=5004,
     )
     return server_app, client_app
 
