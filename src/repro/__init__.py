@@ -10,17 +10,16 @@ analyzer, and the full experiment harness for every table and figure in
 the paper. A secondary :mod:`repro.runtime` package demonstrates the same
 proxy mechanism over real asyncio sockets.
 
-Quickstart::
+Quickstart (``examples/quickstart.py`` runs the trailer's full 119 s)::
 
-    from repro.experiments import ExperimentConfig, run_experiment
+    from repro.experiments.runner import run_experiment, video_only
 
-    config = ExperimentConfig(
-        n_video_clients=10, video_bitrates_kbps=[56] * 10,
-        burst_interval="500ms", seed=1,
+    config = video_only(
+        bitrates_kbps=[56] * 10, burst_interval_s=0.5, duration_s=5.0, seed=1,
     )
     result = run_experiment(config)
-    for client in result.clients:
-        print(client.name, f"{client.energy_saved_pct:.1f}% saved")
+    for report in result.clients:
+        print(report.name, f"{report.energy_saved_pct:.1f}% saved")
 """
 
 from repro._version import __version__

@@ -32,8 +32,8 @@ API_SCOPE: tuple[str, ...] = ("core/", "energy/")
 ENTROPY_ALLOWED: tuple[str, ...] = ("sim/random.py",)
 
 #: Modules allowed to call ``TraceRecorder.record`` directly — the
-#: Recorder facade itself and the trace module it wraps.
-OBS_ALLOWED: tuple[str, ...] = ("obs/", "sim/trace.py")
+#: Recorder facade and the trace log it wraps.
+OBS_ALLOWED: tuple[str, ...] = ("obs/",)
 
 #: Artifact driver modules that must execute runs through the sweep
 #: engine (SweepSpec + SweepEngine) rather than calling the simulation

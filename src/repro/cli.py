@@ -169,9 +169,7 @@ def build_fault_plan(args):
         fallback_after_misses=args.fault_fallback_misses,
         silence_timeout_s=args.fault_silence_timeout,
     )
-    if not plan.touches_medium and clock is None and plan.silence_timeout_s is None:
-        return None
-    return plan
+    return None if plan == FaultPlan() else plan
 
 
 def parse_seeds(text: str) -> list[int]:

@@ -27,42 +27,6 @@ Components map one-to-one onto the paper's §3:
   the discrete (queue, channel) model the offline DP optimum in
   :mod:`repro.energy.optimal` is defined over.
 
-The names below resolve on first use, so importing one module (the
-pure :mod:`~repro.core.daemon`, say) does not load the simulator.
+The package imports none of its modules, so importing one (the pure
+:mod:`~repro.core.daemon`, say) does not load the simulator.
 """
-
-from __future__ import annotations
-
-import importlib
-from typing import Any
-
-_HOMES = {
-    name: module
-    for module, names in {
-        "bandwidth_model": ("LinearCostModel",),
-        "client": ("PowerAwareClient",),
-        "delay_comp": ("AdaptiveCompensator", "FixedClockCompensator"),
-        "policy": (
-            "POLICY_NAMES", "ChannelAwarePolicy", "ClientView",
-            "JointThresholdPolicy", "PaperDynamicPolicy", "PolicyInstance",
-            "PolicyOutcome", "SchedulingPolicy", "execute_grants",
-            "make_policy", "random_instance", "rollout",
-        ),
-        "proxy": ("TransparentProxy",),
-        "queues": ("ClientQueue", "QueueEntry"),
-        "schedule": ("SCHEDULE_PORT", "BurstSlot", "Schedule"),
-        "scheduler": ("DynamicScheduler",),
-        "static_schedule": ("StaticScheduler",),
-    }.items()
-    for name in names
-}
-
-__all__ = sorted(_HOMES)
-
-
-def __getattr__(name: str) -> Any:
-    if name not in _HOMES:
-        raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"repro.core.{_HOMES[name]}"), name)
-    globals()[name] = value
-    return value

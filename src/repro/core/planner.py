@@ -2,11 +2,14 @@
 live proxy.
 
 At every scheduler rendezvous point (SRP) a driver snapshots its client
-queues and hands the planner the clients that may get a burst slot; the
-planner returns that interval's schedule. It owns every schedule
-decision: policy admission (:mod:`repro.core.policy`) with the deferral
-counters it reads, the burst-order rotation, the slot layout priced by
-the linear send-cost model, schedule reuse, and ``seq``.
+queues and the time it last heard each client; the planner returns that
+interval's schedule. It owns every schedule decision: which clients are
+silent (no slot past ``silence_timeout_s`` of uplink silence, restored
+once heard again), policy admission (:mod:`repro.core.policy`) with the
+deferral counters it reads, the burst-order rotation, the slot layout
+priced by the linear send-cost model, schedule reuse, and ``seq``. It
+records every ``scheduler.*`` instrument, so its drivers keep only
+timing and I/O.
 
 * **fixed interval** (100 ms / 500 ms in the paper): each client gets a
   share of the interval proportional to its burst cost; data that does
@@ -28,7 +31,7 @@ The planner imports neither the simulator nor asyncio. Its drivers are
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from repro.core.policy import ClientView, PaperDynamicPolicy, SchedulingPolicy
 from repro.core.schedule import (
@@ -39,6 +42,8 @@ from repro.core.schedule import (
 )
 from repro.errors import SchedulingError
 from repro.net.packet import MSS
+from repro.obs.metrics import BYTES_BUCKETS, RATIO_BUCKETS, SECONDS_BUCKETS
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.units import ms, us
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,7 +65,6 @@ class Backlog:
     key: str  #: client IP in the simulator, client id in the live runtime
     udp_bytes: int
     tcp_bytes: int
-    channel_good: bool = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,6 +121,8 @@ class SlotPlanner:
         interval_s: Optional[float] = None,
         policy: Optional[SchedulingPolicy] = None,
         reuse_schedules: bool = False,
+        silence_timeout_s: Optional[float] = None,
+        obs: Recorder = NULL_RECORDER,
     ) -> None:
         """Args:
         cost_model: the linear send-cost model that prices each burst.
@@ -127,9 +133,19 @@ class SlotPlanner:
             backlogged client.
         reuse_schedules: enable the §5 schedule-reuse extension (fixed
             intervals only).
+        silence_timeout_s: reclaim the slot of a client not heard for
+            this long (None disables reclamation). A client that was
+            never heard is never judged silent: there is no baseline to
+            decay from.
+        obs: where the ``scheduler.*`` instruments go; event times are
+            the driver's SRP clock.
         """
         if interval_s is not None and interval_s <= 0:
             raise SchedulingError(f"interval must be positive: {interval_s!r}")
+        if silence_timeout_s is not None and silence_timeout_s <= 0:
+            raise SchedulingError(
+                f"silence_timeout_s must be positive: {silence_timeout_s!r}"
+            )
         #: The longest interval a schedule may cover.
         self._ceiling_s = MAX_INTERVAL_S if interval_s is None else interval_s
         if not fits(cost_model, self._ceiling_s, 1):
@@ -142,31 +158,53 @@ class SlotPlanner:
             policy if policy is not None else PaperDynamicPolicy()
         )
         self.reuse_schedules = reuse_schedules
+        self.silence_timeout_s = silence_timeout_s
+        self.obs = obs
         self.seq = 0
+        self.policy_grants = 0
+        self.policy_defers = 0
+        self.schedules_reused = 0
+        self.slots_reclaimed = 0
+        self.slots_restored = 0
         #: Consecutive intervals each backlogged client has gone without
         #: a slot (cleared when it gets one or drains).
         self._deferred: dict[str, int] = {}
         self._last_layout: Optional[tuple] = None
+        self._silenced: set[str] = set()
+        #: ``next_srp`` of the last schedule planned or replayed.
+        self._planned_srp: Optional[float] = None
+        #: Per (instrument, client), the histogram handle, resolved on
+        #: first use (see Recorder.resolve_*).
+        self._histograms: dict[tuple[str, str], Any] = {}
 
-    def plan(self, srp: float, backlogs: Sequence[Backlog]) -> Plan:
+    def plan(
+        self,
+        srp: float,
+        backlogs: Sequence[Backlog],
+        last_heard: Mapping[str, float],
+        channel_good: Optional[Callable[[str], bool]] = None,
+    ) -> Plan:
         """The schedule for the interval that starts at ``srp``.
 
-        ``backlogs`` holds the clients that may get a slot (backlogged
-        and not silenced) in the driver's stable order. The policy sees
-        one :class:`ClientView` per client; held-back clients keep their
-        bytes queued and age their deferral counter.
+        ``backlogs`` holds every client the driver queues for, in its
+        stable order; ``last_heard`` maps each client heard so far to
+        the time its uplink was last heard, on the ``srp`` clock.
+        ``channel_good`` reads a client's channel state (None: every
+        channel is good); it is called only for clients that may get a
+        slot, those with queued bytes that are not silent. The policy
+        sees one :class:`ClientView` per such client; held-back clients
+        keep their bytes queued and age their deferral counter.
         """
-        views = [
-            ClientView(
-                key=backlog.key,
-                backlog=backlog.udp_bytes + backlog.tcp_bytes,
-                channel_good=backlog.channel_good,
-                deferred=self._deferred.get(backlog.key, 0),
+        if self._planned_srp is not None:
+            self.obs.observe(
+                "scheduler.srp_lateness_s",
+                max(0.0, srp - self._planned_srp),
+                buckets=SECONDS_BUCKETS,
             )
-            for backlog in backlogs
-        ]
+        self._judge_silence(srp, last_heard)
+        eligible, views = self._eligible(backlogs, channel_good)
         admitted = set(self.policy.admit(views))
-        pending = [backlog for backlog in backlogs if backlog.key in admitted]
+        pending = [backlog for backlog in eligible if backlog.key in admitted]
         # Rotate the burst order every interval so no client always goes
         # first. Schedule reuse needs a *stable* order, so reuse
         # disables it.
@@ -203,6 +241,8 @@ class SlotPlanner:
             repeats_next=repeats_next,
         )
         self.seq += 1
+        self._planned_srp = schedule.next_srp
+        self._record_admission(srp, len(slots), deferred)
         return Plan(schedule, deferred)
 
     def replay(self, schedule: Schedule) -> Schedule:
@@ -210,8 +250,11 @@ class SlotPlanner:
         same offsets one interval later. Allotments are re-derived from
         slot durations so the replay serves whatever is queued *now*."""
         self.seq += 1
+        self.schedules_reused += 1
+        self.obs.inc("scheduler.schedules_reused")
         self._last_layout = None  # force a fresh broadcast next
         delta = schedule.interval
+        self._planned_srp = schedule.next_srp + delta
         return Schedule(
             seq=schedule.seq + 1,
             srp=schedule.srp + delta,
@@ -230,12 +273,111 @@ class SlotPlanner:
             ),
         )
 
+    def slot_started(self, slot: BurstSlot, now: float) -> None:
+        """Record how late the burst of ``slot`` starts. Drivers call it
+        once they know the slot's client is still there."""
+        self._histogram(
+            "scheduler.slot_lateness_s", SECONDS_BUCKETS, slot.client_ip
+        ).observe(max(0.0, now - slot.rendezvous))
+
+    def slot_finished(self, slot: BurstSlot, sent: int) -> None:
+        """Record the share of its allotment a burst used."""
+        if slot.bytes_allotted > 0:
+            self._histogram(
+                "scheduler.slot_utilization", RATIO_BUCKETS, slot.client_ip
+            ).observe(min(1.0, sent / slot.bytes_allotted))
+
     def forget(self, key: str) -> None:
-        """Drop a departed client's deferral count. The cached reuse
+        """Drop a departed client's deferral count and silence, so a
+        client that comes back is planned afresh. The cached reuse
         layout is invalidated so a repeated schedule can never re-grant
         the departed slot."""
         self._deferred.pop(key, None)
+        self._silenced.discard(key)
         self._last_layout = None
+
+    def _eligible(
+        self,
+        backlogs: Sequence[Backlog],
+        channel_good: Optional[Callable[[str], bool]],
+    ) -> tuple[list[Backlog], list[ClientView]]:
+        """Record each client's queued bytes; return the clients that may
+        get a slot (queued bytes, not silent) and the policy's view of
+        each."""
+        eligible: list[Backlog] = []
+        views: list[ClientView] = []
+        for backlog in backlogs:
+            nbytes = backlog.udp_bytes + backlog.tcp_bytes
+            self._histogram(
+                "scheduler.queue_bytes", BYTES_BUCKETS, backlog.key
+            ).observe(nbytes)
+            if nbytes > 0 and backlog.key not in self._silenced:
+                eligible.append(backlog)
+                views.append(
+                    ClientView(
+                        key=backlog.key,
+                        backlog=nbytes,
+                        channel_good=(
+                            channel_good is None or channel_good(backlog.key)
+                        ),
+                        deferred=self._deferred.get(backlog.key, 0),
+                    )
+                )
+        return eligible, views
+
+    def _histogram(
+        self, name: str, buckets: tuple[float, ...], client: str
+    ) -> Any:
+        handle = self._histograms.get((name, client))
+        if handle is None:
+            handle = self._histograms[name, client] = (
+                self.obs.resolve_histogram(name, buckets=buckets, client=client)
+            )
+        return handle
+
+    def _judge_silence(self, now: float, last_heard: Mapping[str, float]) -> None:
+        """Reclaim the slot of each client silent past the timeout and
+        restore it once the client is heard again."""
+        if self.silence_timeout_s is None:
+            return
+        obs = self.obs
+        for key, heard_at in last_heard.items():
+            silent_s = now - heard_at
+            if silent_s > self.silence_timeout_s:
+                if key not in self._silenced:
+                    self._silenced.add(key)
+                    self.slots_reclaimed += 1
+                    obs.event(
+                        now, "scheduler.reclaim", client=key,
+                        silent_s=silent_s,
+                    )
+                    obs.inc("scheduler.slots_reclaimed", client=key)
+            elif key in self._silenced:
+                self._silenced.discard(key)
+                self.slots_restored += 1
+                obs.event(now, "scheduler.restore", client=key)
+                obs.inc("scheduler.slots_restored", client=key)
+
+    def _record_admission(
+        self, now: float, granted: int, deferred: Sequence[ClientView]
+    ) -> None:
+        self.policy_grants += granted
+        self.policy_defers += len(deferred)
+        # The paper's policy admits everyone, so legacy configurations
+        # record nothing here.
+        if self.policy.name == "dynamic":
+            return
+        obs = self.obs
+        for view in deferred:
+            obs.event(
+                now, "scheduler.policy_defer",
+                client=view.key, backlog=view.backlog,
+                deferred=view.deferred,
+                channel="good" if view.channel_good else "bad",
+            )
+            obs.inc("scheduler.policy_defers", client=view.key)
+        if granted:
+            obs.inc("scheduler.policy_grants", granted)
 
     def _longest_deferred(self, pending: list[Backlog]) -> list[Backlog]:
         """The clients whose slots fit the ceiling: longest-deferred

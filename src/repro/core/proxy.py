@@ -135,7 +135,7 @@ class TransparentProxy(Node):
         #: Last simulated time any uplink packet from each client was
         #: seen. The proxy bridges every client→server packet (TCP ACKs,
         #: video feedback), so this is a passive liveness signal the
-        #: scheduler uses to reclaim slots from silent clients.
+        #: slot planner judges silent clients by.
         self.last_uplink: dict[str, float] = {}
 
     # -- wiring ------------------------------------------------------------

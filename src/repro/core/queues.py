@@ -31,9 +31,9 @@ class QueueEntry:
     nbytes: int
     packet: Optional[Packet] = None  # udp only
     connection: Optional["TcpConnection"] = None  # tcp only
-    #: Simulated time the data entered the queue (0.0 when the queue
-    #: has no clock). Splits and burster leftovers inherit it, so the
-    #: delay accounting always sees the *first* enqueue time.
+    #: Simulated time the data entered the queue. Splits and burster
+    #: leftovers inherit it, so the delay accounting always sees the
+    #: *first* enqueue time.
     enqueued_at: float = 0.0
 
     def __post_init__(self) -> None:
@@ -50,18 +50,11 @@ class QueueEntry:
 class ClientQueue:
     """FIFO of pending downlink data for one client."""
 
-    def __init__(
-        self,
-        client_ip: str,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, client_ip: str, clock: Callable[[], float]) -> None:
         """Args:
-        clock: optional simulated-time source. When given, entries are
-            stamped on enqueue and the queue accumulates byte-weighted
-            queueing delay on dequeue — the mean-delay axis of the
-            policy Pareto front. Without a clock (unit tests, legacy
-            callers) the accounting is disabled and behavior is
-            unchanged.
+        clock: simulated-time source. Entries are stamped on enqueue and
+            the queue accumulates byte-weighted queueing delay on
+            dequeue — the mean-delay axis of the policy Pareto front.
         """
         self.client_ip = client_ip
         self.clock = clock
@@ -81,9 +74,6 @@ class ClientQueue:
         #: Bytes that have left through :meth:`pop_up_to`.
         self.dequeued_bytes = 0
 
-    def _now(self) -> float:
-        return self.clock() if self.clock is not None else 0.0
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -97,7 +87,7 @@ class ClientQueue:
         self._push(
             QueueEntry(
                 "udp", packet.payload_size, packet=packet,
-                enqueued_at=self._now(),
+                enqueued_at=self.clock(),
             )
         )
         self.udp_bytes_pending += packet.payload_size
@@ -124,7 +114,7 @@ class ClientQueue:
         self._push(
             QueueEntry(
                 "tcp", nbytes, connection=connection,
-                enqueued_at=self._now(),
+                enqueued_at=self.clock(),
             )
         )
 
@@ -165,7 +155,7 @@ class ClientQueue:
     def _pop_fifo(self, byte_budget: int) -> list[QueueEntry]:
         taken: list[QueueEntry] = []
         remaining = byte_budget
-        now = self._now() if self.clock is not None else 0.0
+        now = self.clock()
         while self._entries and remaining > 0:
             head = self._entries[0]
             if head.kind == "udp":
@@ -204,8 +194,6 @@ class ClientQueue:
     def _account_dequeue(
         self, nbytes: int, enqueued_at: float, now: float
     ) -> None:
-        if self.clock is None:
-            return
         self.delay_byte_s += max(0.0, now - enqueued_at) * nbytes
         self.dequeued_bytes += nbytes
 

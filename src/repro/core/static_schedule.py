@@ -92,9 +92,12 @@ def build_layout(
     interval_s: float,
     tcp_weight: float = 0.0,
     tcp_clients: Sequence[str] = (),
-    epoch: float = 0.0,
 ) -> StaticLayout:
-    """Equal per-client UDP slots after an optional leading TCP slot."""
+    """Equal per-client UDP slots after an optional leading TCP slot.
+
+    The layout's epoch is 0.0 until the scheduler fixes it at its
+    second announcement.
+    """
     if not 0.0 <= tcp_weight < 1.0:
         raise SchedulingError(f"tcp_weight must be in [0,1): {tcp_weight!r}")
     tcp_slot_s = interval_s * tcp_weight
@@ -115,7 +118,7 @@ def build_layout(
         tcp_slot_s=tcp_slot_s,
         tcp_clients=tuple(tcp_clients),
         slots=tuple(slots),
-        epoch=epoch,
+        epoch=0.0,
     )
 
 

@@ -489,6 +489,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if obs.metrics is not None and getattr(obs, "record_metrics", False)
         else None
     )
+    planners = [
+        sched.planner for sched in schedulers
+        if isinstance(sched, DynamicScheduler)
+    ]
     delay_byte_s = 0.0
     dequeued_bytes = 0
     for cell in scenario.cells:
@@ -507,9 +511,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         schedules_sent=sum(
             getattr(s, "schedules_sent", 0) for s in schedulers
         ),
-        schedules_reused=sum(
-            getattr(s, "schedules_reused", 0) for s in schedulers
-        ),
+        schedules_reused=sum(p.schedules_reused for p in planners),
         medium_frames=sum(
             cell.medium.frames_sent for cell in scenario.cells
         ),
@@ -519,19 +521,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         downshifts=downshifts,
         duration_s=sim.now,
         fault_counters=drop_totals,
-        slots_reclaimed=sum(
-            getattr(s, "slots_reclaimed", 0) for s in schedulers
-        ),
-        slots_restored=sum(
-            getattr(s, "slots_restored", 0) for s in schedulers
-        ),
+        slots_reclaimed=sum(p.slots_reclaimed for p in planners),
+        slots_restored=sum(p.slots_restored for p in planners),
         policy=config.policy,
-        policy_grants=sum(
-            getattr(s, "policy_grants", 0) for s in schedulers
-        ),
-        policy_defers=sum(
-            getattr(s, "policy_defers", 0) for s in schedulers
-        ),
+        policy_grants=sum(p.policy_grants for p in planners),
+        policy_defers=sum(p.policy_defers for p in planners),
         mean_queue_delay_s=(
             delay_byte_s / dequeued_bytes if dequeued_bytes else 0.0
         ),

@@ -32,8 +32,8 @@ from repro.errors import ConfigurationError
 from repro.net.node import Node
 from repro.net.packet import reset_packet_ids
 from repro.net.sniffer import MonitoringStation
-from repro.obs import NULL_RECORDER, Recorder, SimRecorder
-from repro.sim import RngStreams, Simulator, TraceRecorder
+from repro.obs import NULL_RECORDER, Recorder, SimRecorder, TraceRecorder
+from repro.sim import RngStreams, Simulator
 from repro.units import mbps, ms
 from repro.wnic.states import Wnic
 

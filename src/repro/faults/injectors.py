@@ -68,15 +68,10 @@ class GilbertElliottChain:
 
     __slots__ = ("spec", "rng", "bad", "bad_visits")
 
-    def __init__(
-        self,
-        spec: GilbertElliottSpec,
-        rng: np.random.Generator,
-        bad: bool = False,
-    ) -> None:
+    def __init__(self, spec: GilbertElliottSpec, rng: np.random.Generator) -> None:
         self.spec = spec
         self.rng = rng
-        self.bad = bad
+        self.bad = False
         self.bad_visits = 0
 
     def step(self) -> bool:

@@ -48,9 +48,10 @@ class ChannelPlan:
     """Declarative description of the per-client channel processes.
 
     All clients share the same chain parameters but evolve on
-    independent streams. ``epoch_s`` is the transition grid: one chain
-    step per epoch, independent of how many frames fly (geometric
-    bad-state dwell of mean ``epoch_s / p_bad_good`` seconds).
+    independent streams, each starting good. ``epoch_s`` is the
+    transition grid: one chain step per epoch, independent of how many
+    frames fly (geometric bad-state dwell of mean
+    ``epoch_s / p_bad_good`` seconds).
     ``loss_good``/``loss_bad`` are per-frame loss rates in each state.
     """
 
@@ -59,7 +60,6 @@ class ChannelPlan:
     loss_good: float = 0.0
     loss_bad: float = 0.9
     epoch_s: float = ms(100)
-    start_good: bool = True
 
     def __post_init__(self) -> None:
         for label, value in (
@@ -124,16 +124,11 @@ class ChannelModel:
         self._clients: dict[str, _ClientChannel] = {}
         for ip in client_ips:
             chain = GilbertElliottChain(
-                plan.spec,
-                streams.get(f"{TRANSITION_STREAM_PREFIX}{ip}"),
-                bad=not plan.start_good,
+                plan.spec, streams.get(f"{TRANSITION_STREAM_PREFIX}{ip}")
             )
-            state = _ClientChannel(
+            self._clients[ip] = _ClientChannel(
                 chain, streams.get(f"{LOSS_STREAM_PREFIX}{ip}")
             )
-            if chain.bad:
-                state.bad_since = 0.0
-            self._clients[ip] = state
         self.transitions = 0
         self.tx_losses = 0
         self.rx_misses = 0

@@ -1,7 +1,8 @@
 """Deterministic observability: metrics, spans, timeline export.
 
-The one instrumentation funnel for the simulator. Components write
-through a :class:`Recorder` (events + spans + metrics); exporters turn
+The one instrumentation funnel for the simulator and the live runtime.
+Components write through a :class:`Recorder` (events + spans + metrics)
+and the package imports nothing of either stack; exporters turn
 a finished run into canonical metrics JSON, an event-stream JSONL, and
 a Chrome-trace / Perfetto timeline. Everything is keyed to simulated
 time, so same-seed runs export byte-identical artifacts.
@@ -30,6 +31,8 @@ from repro.obs.recorder import (
     Recorder,
     SimRecorder,
     SpanRecord,
+    TraceRecord,
+    TraceRecorder,
 )
 
 __all__ = [
@@ -46,6 +49,8 @@ __all__ = [
     "Recorder",
     "SimRecorder",
     "SpanRecord",
+    "TraceRecord",
+    "TraceRecorder",
     "chrome_trace_json",
     "digest",
     "events_jsonl",

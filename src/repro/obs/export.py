@@ -19,8 +19,7 @@ import json
 from typing import Any, Union
 
 from repro.errors import TraceError
-from repro.obs.recorder import Recorder, SpanRecord
-from repro.sim.trace import TraceRecord
+from repro.obs.recorder import Recorder, SpanRecord, TraceRecord
 
 #: Simulated seconds -> Chrome trace microseconds.
 _US = 1e6

@@ -249,7 +249,7 @@ async def run_loadtest(
         scheduler_restarts=proxy.scheduler_restarts,
         connections_refused=proxy.connections_refused,
         evictions=proxy.evictions,
-        slots_reclaimed=proxy.slots_reclaimed,
+        slots_reclaimed=proxy.planner.slots_reclaimed,
         chaos_dropped=shim.dropped_total if shim is not None else 0,
         metrics=metrics,
     )

@@ -11,8 +11,11 @@ task broadcasts a schedule datagram to every registered client's UDP
 control port each burst interval, then releases each client's buffered
 bytes at its rendezvous point, ending the burst with a mark datagram.
 The schedule comes from the slot planner the simulator uses
-(:class:`~repro.core.planner.SlotPlanner`); this module is its live
-driver.
+(:class:`~repro.core.planner.SlotPlanner`), which also judges silent
+clients and records every ``scheduler.*`` instrument; this module is
+its live driver and keeps only timing and I/O. It plans in seconds
+since :meth:`AsyncProxy.start` on the loop clock, the clock of its obs
+events too.
 
 This is the paper's §3.2 design with the kernel pieces (bridge, IPQ,
 TOS marking) replaced by the userspace substitutions listed in
@@ -25,20 +28,19 @@ TOS marking) replaced by the userspace substitutions listed in
 * **Admission control** — connection/client/byte limits are enforced at
   the CONNECT handshake with an explicit ``ERR overloaded`` status.
 * **Connection lifecycle** — origin dials have timeouts and bounded
-  exponential-backoff retries, relays have idle timeouts, and a
-  liveness reaper mirrors the simulator's slot reclamation: a client
-  whose uplink (TCP bytes or control heartbeats) goes silent first
-  loses its burst slot, then is evicted outright.
+  exponential-backoff retries, relays have idle timeouts, and liveness
+  follows the uplink (TCP bytes or control heartbeats): a silent client
+  first loses its burst slot at an SRP, as in the simulator, and then a
+  reaper evicts it outright.
 * **Supervision** — the scheduler and reaper run under a
   :class:`~repro.runtime.supervisor.TaskSupervisor` that restarts them
   on unexpected exceptions; a vanished client can never halt
   scheduling for the survivors, and ``stop()`` drains writers and
   leaves zero orphaned tasks or sockets.
 * **Observability** — the proxy records through :class:`repro.obs`
-  under the *same* instrument names as the simulator
-  (``scheduler.queue_bytes``, ``scheduler.slot_lateness_s``,
-  ``proxy.schedules_broadcast``, ``proxy.bursts``, ``drops``, ...), so
-  live-vs-sim metric diffs line up name-for-name.
+  under the *same* instrument names as the simulator (the planner's
+  ``scheduler.*``, ``proxy.schedules_broadcast``, ``proxy.bursts``,
+  ``drops``, ...), so live-vs-sim metric diffs line up name-for-name.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from repro.core.bandwidth_model import LinearCostModel
 from repro.core.planner import Backlog, SlotPlanner, fits
 from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError, SchedulingError, SocketError
-from repro.obs import BYTES_BUCKETS, NULL_RECORDER, Recorder, SECONDS_BUCKETS
+from repro.obs import NULL_RECORDER, Recorder
 from repro.runtime.supervisor import TaskSupervisor
 from repro.runtime.wire import (
     STATUS_OK,
@@ -135,6 +137,10 @@ class AsyncProxyConfig:
                 f"queue_low_bytes {self.queue_low_bytes} must not exceed "
                 f"queue_high_bytes {self.queue_high_bytes}"
             )
+        if self.silence_timeout_s <= 0:
+            raise ConfigurationError(
+                f"silence_timeout_s must be positive: {self.silence_timeout_s!r}"
+            )
         if self.evict_timeout_s < self.silence_timeout_s:
             raise ConfigurationError(
                 f"evict_timeout_s {self.evict_timeout_s} must be >= "
@@ -171,7 +177,7 @@ class _ClientState:
 
     __slots__ = (
         "client_id", "control_addr", "queue", "bytes_pending", "bytes_sent",
-        "bursts", "peak_pending", "high", "low", "last_uplink", "silenced",
+        "bursts", "peak_pending", "high", "low", "last_uplink",
         "connections", "_writable",
     )
 
@@ -194,7 +200,6 @@ class _ClientState:
         self.high = high
         self.low = low
         self.last_uplink = now
-        self.silenced = False
         self.connections = 0
         self._writable = asyncio.Event()
         self._writable.set()
@@ -253,8 +258,6 @@ class AsyncProxy:
         self.connections_split = 0
         self.connections_refused = 0
         self.evictions = 0
-        self.slots_reclaimed = 0
-        self.slots_restored = 0
         self.scheduler_restarts = 0
         self.peak_buffered_bytes = 0
         #: Recent schedule-broadcast timestamps (loop clock) for jitter.
@@ -263,10 +266,11 @@ class AsyncProxy:
         self._buffered_bytes = 0
         self._global_writable = asyncio.Event()
         self._global_writable.set()
-        self._planner = SlotPlanner(
-            LIVE_COST_MODEL, self.config.burst_interval_s
+        self.planner = SlotPlanner(
+            LIVE_COST_MODEL, self.config.burst_interval_s,
+            silence_timeout_s=self.config.silence_timeout_s, obs=obs,
         )
-        self._planned_srp: Optional[float] = None
+        #: Loop time of ``start()``: the zero of the proxy's clock.
         self._epoch = 0.0
 
     # -- lifecycle -----------------------------------------------------------
@@ -343,11 +347,8 @@ class AsyncProxy:
     # -- time ----------------------------------------------------------------
 
     def _now(self) -> float:
-        return asyncio.get_running_loop().time()
-
-    def _rel(self, t: float) -> float:
-        """Proxy-relative time used for obs events (starts at 0)."""
-        return t - self._epoch
+        """Seconds since ``start()``: the planning and obs clock."""
+        return asyncio.get_running_loop().time() - self._epoch
 
     # -- connection handling -------------------------------------------------
 
@@ -516,16 +517,6 @@ class AsyncProxy:
     def _touch(self, state: _ClientState) -> None:
         """Record uplink liveness (TCP bytes or a control heartbeat)."""
         state.last_uplink = self._now()
-        if state.silenced:
-            state.silenced = False
-            self.slots_restored += 1
-            self.obs.inc(
-                "scheduler.slots_restored", client=state.client_id
-            )
-            self.obs.event(
-                self._rel(state.last_uplink), "scheduler.restore",
-                client=state.client_id,
-            )
 
     # -- relays ----------------------------------------------------------------
 
@@ -638,28 +629,14 @@ class AsyncProxy:
     # -- liveness --------------------------------------------------------------
 
     async def _reaper(self) -> None:
-        """Reclaim slots of silent clients; evict the long-dead ones."""
-        config = self.config
+        """Evict clients silent past ``evict_timeout_s``. (The planner
+        reclaims their slots sooner, at an SRP.)"""
         while True:
             await asyncio.sleep(REAP_INTERVAL_S)
             now = self._now()
-            for client_id in list(self._clients):
-                state = self._clients[client_id]
+            for client_id, state in list(self._clients.items()):
                 silent_s = now - state.last_uplink
-                if (
-                    not state.silenced
-                    and silent_s > config.silence_timeout_s
-                ):
-                    state.silenced = True
-                    self.slots_reclaimed += 1
-                    self.obs.inc(
-                        "scheduler.slots_reclaimed", client=client_id
-                    )
-                    self.obs.event(
-                        self._rel(now), "scheduler.reclaim",
-                        client=client_id, silent_s=silent_s,
-                    )
-                if silent_s > config.evict_timeout_s:
+                if silent_s > self.config.evict_timeout_s:
                     self._evict(client_id, state, silent_s)
 
     def _evict(
@@ -668,6 +645,7 @@ class AsyncProxy:
         """Crash-proof slot release: drop the registration, abort its
         connections, and discard its buffered bytes."""
         del self._clients[client_id]
+        self.planner.forget(client_id)
         self.evictions += 1
         dropped = state.pop_all()
         for conn, data in dropped:
@@ -681,31 +659,24 @@ class AsyncProxy:
         state.release()
         self.obs.inc("runtime.evictions", client=client_id)
         self.obs.event(
-            self._rel(self._now()), "runtime.evict",
-            client=client_id, silent_s=silent_s,
+            self._now(), "runtime.evict", client=client_id, silent_s=silent_s,
         )
 
     # -- scheduling ------------------------------------------------------------
 
     async def _scheduler(self) -> None:
         """One supervised scheduling loop iteration per burst interval."""
+        loop = asyncio.get_running_loop()
         while True:
-            srp = self._now()
-            if self._planned_srp is not None:
-                self.obs.observe(
-                    "scheduler.srp_lateness_s",
-                    max(0.0, srp - self._planned_srp),
-                    buckets=SECONDS_BUCKETS,
-                )
-            schedule = self._build_schedule(srp)
+            broadcast_at = loop.time()
+            schedule = self._build_schedule(broadcast_at - self._epoch)
             self._broadcast(schedule)
-            self.broadcast_times.append(srp)
+            self.broadcast_times.append(broadcast_at)
             self.schedules_sent += 1
-            self._planned_srp = schedule.next_srp
             self.obs.inc("proxy.schedules_broadcast")
             self.obs.span(
-                self._rel(srp), self._rel(schedule.next_srp), "interval",
-                "proxy", seq=schedule.seq, slots=len(schedule.slots),
+                schedule.srp, schedule.next_srp, "interval", "proxy",
+                seq=schedule.seq, slots=len(schedule.slots),
             )
             for slot in schedule.slots:
                 delay = slot.rendezvous - self._now()
@@ -717,35 +688,28 @@ class AsyncProxy:
                 if state is None:
                     self.obs.inc("drops", reason="vanished")
                     continue
-                self.obs.observe(
-                    "scheduler.slot_lateness_s",
-                    max(0.0, self._now() - slot.rendezvous),
-                    buckets=SECONDS_BUCKETS,
-                    client=slot.client_ip,
-                )
+                self.planner.slot_started(slot, self._now())
                 await self._burst(state, schedule.seq)
             remaining = schedule.next_srp - self._now()
             if remaining > 0:
                 await asyncio.sleep(remaining)
 
     def _build_schedule(self, srp: float) -> Schedule:
-        """Snapshot the queues and plan one interval on the loop clock.
+        """Snapshot the queues and last-heard times and plan one
+        interval.
 
         Queued bytes are planned as TCP backlog. The slot allotments are
         advisory: a burst still sends the client's whole queue.
         """
-        backlogs = []
-        for client_id in sorted(self._clients):
-            state = self._clients[client_id]
-            self.obs.observe(
-                "scheduler.queue_bytes",
-                state.bytes_pending,
-                buckets=BYTES_BUCKETS,
-                client=client_id,
-            )
-            if state.bytes_pending > 0 and not state.silenced:
-                backlogs.append(Backlog(client_id, 0, state.bytes_pending))
-        return self._planner.plan(srp, backlogs).schedule
+        clients = self._clients
+        backlogs = [
+            Backlog(client_id, 0, clients[client_id].bytes_pending)
+            for client_id in sorted(clients)
+        ]
+        last_heard = {
+            client_id: state.last_uplink for client_id, state in clients.items()
+        }
+        return self.planner.plan(srp, backlogs, last_heard).schedule
 
     def _broadcast(self, schedule: Schedule) -> None:
         payload = encode_schedule(schedule)

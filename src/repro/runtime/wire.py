@@ -4,9 +4,9 @@ Schedules and burst-end marks travel as single JSON datagrams on each
 client's UDP control socket, and heartbeats travel back. The schedule
 is the simulator's own :class:`~repro.core.schedule.Schedule` in its
 JSON codec, tagged ``"type": "schedule"`` like the marks and
-heartbeats. Timestamps are the proxy's ``loop.time()`` values; clients
-use only relative offsets, exactly like the simulated adaptive delay
-compensation. The CONNECT status lines live here too.
+heartbeats. Timestamps are seconds since the proxy started, on its loop
+clock; clients use only relative offsets, exactly like the simulated
+adaptive delay compensation. The CONNECT status lines live here too.
 """
 
 from __future__ import annotations

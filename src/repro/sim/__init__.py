@@ -11,7 +11,6 @@ named, seeded streams (:class:`~repro.sim.random.RngStreams`).
 from repro.sim.core import Event, Simulator, Timeout
 from repro.sim.process import Process
 from repro.sim.random import RngStreams
-from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "Event",
@@ -19,6 +18,4 @@ __all__ = [
     "RngStreams",
     "Simulator",
     "Timeout",
-    "TraceRecord",
-    "TraceRecorder",
 ]

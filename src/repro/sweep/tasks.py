@@ -103,15 +103,14 @@ def _policy_model(
     n_instances: int = 32,
     n_clients: int = 3,
     horizon: int = 8,
-    threshold: int = 1,
-    max_defer: int = 2,
 ) -> dict:
     """Average one policy over random discrete (queue, channel) instances.
 
     ``policy`` is a :data:`~repro.core.policy.POLICY_NAMES` member run
     online via :func:`~repro.core.policy.rollout`, or ``"optimal"`` for
     the clairvoyant DP oracle of :func:`~repro.energy.optimal.dp_optimal`
-    — the model-side rows of the Pareto figure. Instances are seeded
+    — the model-side rows of the Pareto figure, each policy with
+    :func:`~repro.core.policy.make_policy`'s defaults. Instances are seeded
     ``seed .. seed + n_instances - 1``, so the same parameters always
     average the same instance population.
     """
@@ -127,10 +126,7 @@ def _policy_model(
         if policy == "optimal":
             outcome = dp_optimal(instance).outcome
         else:
-            outcome = rollout(
-                instance,
-                make_policy(policy, threshold=threshold, max_defer=max_defer),
-            )
+            outcome = rollout(instance, make_policy(policy))
         total += outcome.total_cost
         energy += outcome.energy_cost
         delay += outcome.mean_delay_slots

@@ -131,7 +131,7 @@ class TestBurster:
         sim, a, b, _link = wire_pair()
         received = []
         UdpSocket(b, 5004, on_receive=lambda p: received.append(p.tos_marked))
-        queue = ClientQueue("10.0.0.2")
+        queue = ClientQueue("10.0.0.2", clock=lambda: 0.0)
         for _ in range(3):
             queue.push_udp(udp_entry_packet(400))
         burster = Burster(a)
@@ -144,7 +144,7 @@ class TestBurster:
         sim, a, b, _link = wire_pair()
         received = []
         UdpSocket(b, 5004, on_receive=lambda p: received.append(p))
-        queue = ClientQueue("10.0.0.2")
+        queue = ClientQueue("10.0.0.2", clock=lambda: 0.0)
         for _ in range(5):
             queue.push_udp(udp_entry_packet(400))
         burster = Burster(a)
@@ -158,7 +158,8 @@ class TestBurster:
     def test_empty_queue_bursts_nothing(self):
         sim, a, b, _link = wire_pair()
         burster = Burster(a)
-        assert burster.burst(ClientQueue("10.0.0.2"), slot_for(1000)) == 0
+        queue = ClientQueue("10.0.0.2", clock=lambda: 0.0)
+        assert burster.burst(queue, slot_for(1000)) == 0
 
     def test_mixed_burst_marks_trailing_tcp(self):
         sim, a, b, sender, receiver = make_established_pair()
@@ -170,7 +171,7 @@ class TestBurster:
             )[1]
         )
         UdpSocket(b, 5004)
-        queue = ClientQueue("10.0.0.2")
+        queue = ClientQueue("10.0.0.2", clock=lambda: 0.0)
         queue.push_udp(udp_entry_packet(300))
         queue.push_tcp(sender, 1000)
         burster = Burster(a)
@@ -180,7 +181,7 @@ class TestBurster:
 
     def test_closed_connection_entries_are_skipped(self):
         sim, a, b, sender, receiver = make_established_pair()
-        queue = ClientQueue("10.0.0.2")
+        queue = ClientQueue("10.0.0.2", clock=lambda: 0.0)
         queue.push_tcp(sender, 500)
         sender.abort()
         burster = Burster(a)

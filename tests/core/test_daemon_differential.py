@@ -15,7 +15,7 @@ a daemon timer fall on one instant the input goes first on both sides.
 Tier-1 runs a bounded profile; the ``slow`` variants run a long one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -537,11 +537,7 @@ def static_scripts(draw):
     epoch = second + interval
     frames = [
         (first, layout_packet(layout)),
-        (second, layout_packet(build_layout(
-            udp_ips or ["10.0.1.9"], interval_s=interval,
-            tcp_weight=layout.tcp_slot_s / interval,
-            tcp_clients=layout.tcp_clients, epoch=epoch,
-        ))),
+        (second, layout_packet(replace(layout, epoch=epoch))),
     ]
     count = draw(st.integers(1, 8))
     slot = layout.slot_for(CLIENT)

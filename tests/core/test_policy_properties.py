@@ -190,12 +190,16 @@ class TestScheduleShape:
     @settings(max_examples=40, deadline=None)
     def test_no_slot_for_silenced_clients(self, depths, policy_name):
         scenario = scenario_with_queues(depths)
-        scheduler = make_scheduler(scenario, policy_name, interval_s=0.5)
+        scheduler = make_scheduler(
+            scenario, policy_name, interval_s=0.5, silence_timeout_s=1.0
+        )
         silenced = {
             client_ip(i) for i in range(len(depths)) if i % 2 == 0
         }
-        scheduler._silenced = set(silenced)
-        schedule = scheduler.build_schedule(srp=0.0)
+        for i in range(len(depths)):
+            ip = client_ip(i)
+            scenario.proxy.last_uplink[ip] = 0.0 if ip in silenced else 2.0
+        schedule = scheduler.build_schedule(srp=2.0)
         assert not {slot.client_ip for slot in schedule.slots} & silenced
 
     @given(depths=depth_lists, policy_name=st.sampled_from(POLICY_NAMES))

@@ -38,7 +38,7 @@ class TestClientQueueProperties:
     @settings(max_examples=100, deadline=None)
     def test_byte_conservation(self, ops):
         """pushed == popped + pending at every point."""
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         conns = [FakeConn(i) for i in range(3)]
         pushed = 0
         popped = 0
@@ -58,7 +58,7 @@ class TestClientQueueProperties:
     @given(ops=operations)
     @settings(max_examples=60, deadline=None)
     def test_pop_never_exceeds_budget_except_single_oversize(self, ops):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         conns = [FakeConn(i) for i in range(3)]
         for op in ops:
             if op[0] == "udp":
@@ -79,7 +79,7 @@ class TestClientQueueProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_udp_fifo_order_preserved(self, sizes, budget):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         for index, size in enumerate(sizes):
             packet = udp_packet(size)
             packet.meta["index"] = index

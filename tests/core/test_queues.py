@@ -38,7 +38,7 @@ class TestQueueEntry:
 
 class TestClientQueue:
     def test_push_and_account(self):
-        queue = ClientQueue("10.0.1.1")
+        queue = ClientQueue("10.0.1.1", clock=lambda: 0.0)
         queue.push_udp(udp_packet(300))
         queue.push_tcp(FakeConn(), 700)
         assert queue.bytes_pending == 1000
@@ -47,7 +47,7 @@ class TestClientQueue:
         assert queue.has_udp and queue.has_tcp
 
     def test_tcp_credits_coalesce(self):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         conn = FakeConn()
         queue.push_tcp(conn, 100)
         queue.push_tcp(conn, 200)
@@ -55,18 +55,18 @@ class TestClientQueue:
         assert queue.bytes_pending == 300
 
     def test_tcp_credits_do_not_coalesce_across_connections(self):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         queue.push_tcp(FakeConn("a"), 100)
         queue.push_tcp(FakeConn("b"), 100)
         assert len(queue) == 2
 
     def test_zero_byte_tcp_push_ignored(self):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         queue.push_tcp(FakeConn(), 0)
         assert queue.empty
 
     def test_peak_tracks_high_water_mark(self):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         queue.push_udp(udp_packet(1000))
         queue.pop_up_to(1000)
         queue.push_udp(udp_packet(400))
@@ -74,7 +74,7 @@ class TestClientQueue:
         assert queue.bytes_pending == 400
 
     def test_pop_up_to_respects_budget(self):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         for _ in range(5):
             queue.push_udp(udp_packet(500))
         taken = queue.pop_up_to(1200)
@@ -82,21 +82,21 @@ class TestClientQueue:
         assert queue.bytes_pending == 1500
 
     def test_udp_packets_are_atomic(self):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         queue.push_udp(udp_packet(500))
         queue.push_udp(udp_packet(500))
         taken = queue.pop_up_to(700)
         assert len(taken) == 1
 
     def test_oversized_single_udp_packet_still_pops(self):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         queue.push_udp(udp_packet(5000))
         taken = queue.pop_up_to(100)
         assert len(taken) == 1
         assert queue.empty
 
     def test_tcp_credits_split(self):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         conn = FakeConn()
         queue.push_tcp(conn, 1000)
         taken = queue.pop_up_to(400)
@@ -106,7 +106,7 @@ class TestClientQueue:
         assert rest[0].nbytes == 600
 
     def test_fifo_order_across_kinds(self):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         conn = FakeConn()
         queue.push_udp(udp_packet(100))
         queue.push_tcp(conn, 200)
@@ -115,7 +115,7 @@ class TestClientQueue:
         assert kinds == ["udp", "tcp", "udp"]
 
     def test_kind_filter_pops_only_matching(self):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         conn = FakeConn()
         queue.push_udp(udp_packet(100))
         queue.push_tcp(conn, 200)
@@ -128,10 +128,10 @@ class TestClientQueue:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(SchedulingError):
-            ClientQueue("c").pop_up_to(-1)
+            ClientQueue("c", clock=lambda: 0.0).pop_up_to(-1)
 
     def test_bytes_pending_for(self):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         a, b = FakeConn("a"), FakeConn("b")
         queue.push_tcp(a, 100)
         queue.push_tcp(b, 250)
@@ -139,7 +139,7 @@ class TestClientQueue:
         assert queue.bytes_pending_for(b) == 250
 
     def test_drop_connection(self):
-        queue = ClientQueue("c")
+        queue = ClientQueue("c", clock=lambda: 0.0)
         a, b = FakeConn("a"), FakeConn("b")
         queue.push_tcp(a, 100)
         queue.push_udp(udp_packet(50))

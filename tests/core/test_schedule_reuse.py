@@ -45,16 +45,16 @@ class TestScheduleReuse:
             UdpSocket(scenario.clients[index].node, 5004)
             steady_feed(scenario, index, until=6.0)
         scenario.sim.run(until=6.0)
-        assert scheduler.schedules_reused > 0
+        assert scheduler.planner.schedules_reused > 0
         # reused intervals do not broadcast
-        assert scheduler.schedules_sent + scheduler.schedules_reused >= 55
+        assert scheduler.schedules_sent + scheduler.planner.schedules_reused >= 55
 
     def test_reuse_disabled_never_reuses(self):
         scenario, scheduler = reuse_scenario(reuse=False)
         UdpSocket(scenario.clients[0].node, 5004)
         steady_feed(scenario, 0, until=4.0)
         scenario.sim.run(until=4.0)
-        assert scheduler.schedules_reused == 0
+        assert scheduler.planner.schedules_reused == 0
 
     def test_reuse_saves_schedule_wakes(self):
         def run(reuse):
@@ -80,7 +80,7 @@ class TestScheduleReuse:
         for index in (0, 1):
             steady_feed(scenario, index, until=6.0)
         scenario.sim.run(until=7.0)
-        assert scheduler.schedules_reused > 0
+        assert scheduler.planner.schedules_reused > 0
         # ~200 packets fed; nearly all delivered
         assert len(received) > 150
 

@@ -191,6 +191,23 @@ class TestCliAcceptance:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize(
+        "flags, plan",
+        [
+            ([], None),
+            (["--fault-fallback-misses", "3"], None),
+            (
+                ["--fault-fallback-misses", "1"],
+                FaultPlan(fallback_after_misses=1),
+            ),
+        ],
+    )
+    def test_only_a_default_plan_is_no_plan(self, flags, plan):
+        from repro.cli import build_fault_plan, build_parser
+
+        args = build_parser().parse_args(["run", *flags])
+        assert build_fault_plan(args) == plan
+
     def test_cli_table_shows_fault_counters(self, capsys):
         from repro.cli import main
 

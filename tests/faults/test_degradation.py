@@ -121,9 +121,9 @@ class TestSlotReclamation:
         scheduler = scenario.proxy.scheduler
 
         # client 0 went quiet mid-run: its slot was reclaimed...
-        assert scheduler.slots_reclaimed >= 1
+        assert scheduler.planner.slots_reclaimed >= 1
         # ...and handed back once its uplink was heard again.
-        assert scheduler.slots_restored >= 1
+        assert scheduler.planner.slots_restored >= 1
         assert scenario.obs.trace.count("scheduler.reclaim") >= 1
         assert scenario.obs.trace.count("scheduler.restore") >= 1
         # the departed radio showed up in the fault accounting
@@ -144,14 +144,14 @@ class TestSlotReclamation:
         scenario = faulty_scenario(plan, n_clients=1)
         uplink_feed(scenario, 0, until=6.0)
         scenario.sim.run(until=6.0)
-        assert scenario.proxy.scheduler.slots_reclaimed == 0
+        assert scenario.proxy.scheduler.planner.slots_reclaimed == 0
 
     def test_never_heard_client_not_judged_silent(self):
         """Pure receivers (no uplink ever) must keep their slots."""
         plan = FaultPlan(silence_timeout_s=0.5)
         scenario = faulty_scenario(plan, n_clients=1)
         scenario.sim.run(until=4.0)
-        assert scenario.proxy.scheduler.slots_reclaimed == 0
+        assert scenario.proxy.scheduler.planner.slots_reclaimed == 0
 
 
 class TestChurnedClientRecovers:

@@ -36,7 +36,6 @@ class TestChannelPlan:
     def test_defaults_are_valid(self):
         plan = ChannelPlan()
         assert plan.epoch_s == pytest.approx(ms(100))
-        assert plan.start_good
 
     @pytest.mark.parametrize(
         "field", ["p_good_bad", "p_bad_good", "loss_good", "loss_bad"]
@@ -200,8 +199,3 @@ class TestQueries:
         assert not model.state_good(CLIENTS[0], 1.0)
         assert model.rx_blocked(1.0, CLIENTS[0])
         assert model.rx_misses == 1
-
-    def test_start_bad_initial_state(self):
-        plan = ChannelPlan(p_good_bad=0.0, p_bad_good=0.0, start_good=False)
-        model = make_model(plan)
-        assert not model.state_good(CLIENTS[0], 0.0)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ProxyProtocolError
 from repro.faults.plan import ChurnEvent, FaultPlan, Window
+from repro.obs import SimRecorder
 from repro.runtime.chaos import ChaosShim
 from repro.runtime.client import AsyncPowerClient
 from repro.runtime.origin import SpeedTestOrigin
@@ -80,11 +81,57 @@ class TestClientVanish:
          heard_before, heard_after) = run_strict(scenario(), timeout_s=30.0)
         assert evicted
         assert proxy.evictions >= 1
-        assert proxy.slots_reclaimed >= 1
+        assert proxy.planner.slots_reclaimed >= 1
         assert heard_after > heard_before
         assert len(survivor_payload) == 30_000
         assert proxy.scheduler_restarts == 0
         assert proxy._supervisor.failures == []
+
+    @pytest.mark.timeout(60)
+    def test_silent_client_loses_its_slot_at_an_srp_before_eviction(self):
+        """The planner reclaims the slot of a client whose heartbeats
+        stopped at an SRP, before the reaper evicts it; eviction makes
+        the planner forget it, so its rejoin is no restore."""
+
+        async def scenario():
+            origin = SpeedTestOrigin()
+            origin_port = await origin.start()
+            recorder = SimRecorder()
+            proxy = AsyncProxy(_chaos_config(), obs=recorder)
+            await proxy.start()
+            client = AsyncPowerClient("c0")
+            await client.start()
+            rejoined = AsyncPowerClient("c0")
+            try:
+                await _fetch(client, proxy, origin_port)
+                client.stop()  # heartbeats stop cold
+                await asyncio.sleep(1.2)  # past the eviction window
+                evicted = "c0" not in proxy._clients
+                await rejoined.start()
+                payload = await _fetch(rejoined, proxy, origin_port)
+                await asyncio.sleep(0.2)  # a few SRPs with c0 heard again
+            finally:
+                await proxy.stop()
+                client.stop()
+                rejoined.stop()
+                await origin.stop()
+            return proxy, recorder, evicted, payload
+
+        proxy, recorder, evicted, payload = run_strict(
+            scenario(), timeout_s=30.0
+        )
+        trace = recorder.trace
+        [reclaim] = trace.query("scheduler.reclaim")
+        [evict] = trace.query("runtime.evict")
+        srps = {span.start for span in recorder.spans if span.name == "interval"}
+        assert evicted and len(payload) == 30_000
+        assert reclaim.fields["client"] == "c0"
+        assert reclaim.time in srps
+        assert 0.3 < reclaim.fields["silent_s"] <= evict.fields["silent_s"]
+        assert reclaim.time < evict.time
+        assert proxy.planner.slots_reclaimed == 1
+        assert proxy.planner.slots_restored == 0
+        assert trace.count("scheduler.restore") == 0
 
 
 class TestOriginKill:

@@ -57,6 +57,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             AsyncProxyConfig(silence_timeout_s=5.0, evict_timeout_s=1.0)
 
+    def test_silence_window_must_be_positive(self, capsys):
+        """The planner judges silence against it: a zero window is a
+        usage error, not a traceback."""
+        with pytest.raises(SystemExit) as refused:
+            main(["loadtest", "--clients", "1", "--silence-timeout", "0"])
+        assert refused.value.code == 2
+        assert "silence_timeout_s must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("interval", ["variable", "1ms"])
     def test_interval_the_planner_cannot_serve_is_refused(
         self, interval, capsys

@@ -1,6 +1,6 @@
 """Unit tests for the trace recorder."""
 
-from repro.sim import TraceRecorder
+from repro.obs import TraceRecorder
 
 
 class TestTraceRecorder:
