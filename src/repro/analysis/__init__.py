@@ -8,19 +8,12 @@ wall-clock or ambient entropy in sim code, time/size literals through
 taxonomy. See DESIGN.md "Determinism invariants" for the rule list.
 """
 
-from repro.analysis.baseline import (
-    NEVER_BASELINED,
-    filter_baselined,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.cfg import (
     CFG,
     BasicBlock,
     build_cfg,
     iter_function_defs,
 )
-from repro.analysis.config import EVERYWHERE, AnalysisConfig
 from repro.analysis.dataflow import (
     DataflowResult,
     ForwardAnalysis,
@@ -35,7 +28,6 @@ from repro.analysis.engine import (
     module_path_for,
 )
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.incremental import changed_python_files, restrict_to
 from repro.analysis.output import (
     RENDERERS,
     render_sarif,
@@ -44,15 +36,12 @@ from repro.analysis.output import (
 from repro.analysis.registry import RULES, ModuleContext, Rule
 
 __all__ = [
-    "AnalysisConfig",
     "BasicBlock",
     "CFG",
     "DataflowResult",
-    "EVERYWHERE",
     "Finding",
     "ForwardAnalysis",
     "ModuleContext",
-    "NEVER_BASELINED",
     "PARSE_RULE",
     "RENDERERS",
     "RULES",
@@ -63,14 +52,9 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
     "build_cfg",
-    "changed_python_files",
-    "filter_baselined",
     "iter_function_defs",
-    "load_baseline",
     "module_path_for",
     "render_sarif",
     "render_statistics",
-    "restrict_to",
     "run_forward",
-    "write_baseline",
 ]

@@ -1,17 +1,10 @@
-"""Per-rule configuration for the analysis engine.
+"""The rules' scopes: which modules each invariant applies to.
 
 Scopes are prefixes of the *package-relative* path of a module (e.g.
-``core/scheduler.py`` has module path ``core/scheduler.py``); an empty
-prefix matches everything. Rules consult the config so tests can widen
-or narrow scopes without monkey-patching.
+``core/scheduler.py`` has module path ``core/scheduler.py``). A file
+outside the package places itself in a scope with the
+``# repro: module-path=`` pragma (see :mod:`repro.analysis.engine`).
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Mapping
-
-from repro.analysis.findings import Severity
 
 #: Directories whose code runs under simulated time. Wall-clock reads,
 #: blocking I/O, and ambient entropy are forbidden here.
@@ -51,41 +44,3 @@ SWEEP_SCOPE: tuple[str, ...] = (
 #: HandoffCoordinator is the single place cross-shard state may move.
 CAMPUS_HANDOFF_ALLOWED: tuple[str, ...] = ("campus/handoff.py",)
 
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Engine-wide settings; the defaults encode the repo's invariants."""
-
-    select: frozenset[str] | None = None
-    ignore: frozenset[str] = frozenset()
-    severities: Mapping[str, Severity] = field(default_factory=dict)
-
-    entropy_allowed: tuple[str, ...] = ENTROPY_ALLOWED
-    obs_allowed: tuple[str, ...] = OBS_ALLOWED
-    sim_scope: tuple[str, ...] = SIM_SCOPE
-    order_scope: tuple[str, ...] = ORDER_SCOPE
-    units_scope: tuple[str, ...] = UNITS_SCOPE
-    api_scope: tuple[str, ...] = API_SCOPE
-    sweep_scope: tuple[str, ...] = SWEEP_SCOPE
-    campus_handoff_allowed: tuple[str, ...] = CAMPUS_HANDOFF_ALLOWED
-
-    def rule_enabled(self, rule_id: str) -> bool:
-        if rule_id in self.ignore:
-            return False
-        if self.select is not None:
-            return rule_id in self.select
-        return True
-
-
-#: Config used by tests to run every rule on a snippet regardless of
-#: where the snippet file lives.
-EVERYWHERE = AnalysisConfig(
-    entropy_allowed=(),
-    obs_allowed=(),
-    sim_scope=("",),
-    order_scope=("",),
-    units_scope=("",),
-    api_scope=("",),
-    sweep_scope=("",),
-    campus_handoff_allowed=(),
-)

@@ -9,7 +9,6 @@ from typing import Iterable, Sequence
 
 from repro.analysis import async_rules as _async_rules  # noqa: F401
 from repro.analysis import rules as _rules  # noqa: F401  (registers rules)
-from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import RULES, ModuleContext
 from repro.analysis.suppress import parse_suppressions
@@ -39,14 +38,8 @@ def module_path_for(path: Path) -> str:
     return path.name
 
 
-def analyze_source(
-    source: str,
-    path: str,
-    module_path: str,
-    config: AnalysisConfig | None = None,
-) -> list[Finding]:
-    """Run every enabled rule over one module's source text."""
-    config = config or AnalysisConfig()
+def analyze_source(source: str, path: str, module_path: str) -> list[Finding]:
+    """Run every rule over one module's source text."""
     for text in source.splitlines()[:_PRAGMA_SCAN_LINES]:
         pragma = _MODULE_PATH_PRAGMA.search(text)
         if pragma is not None:
@@ -72,15 +65,12 @@ def analyze_source(
         module_path=module_path,
         tree=tree,
         source=source,
-        config=config,
         lines=source.splitlines(),
     )
     suppressions = parse_suppressions(source)
 
     active: list[Finding] = []
     for rule_id in sorted(RULES):
-        if not config.rule_enabled(rule_id):
-            continue
         for finding in RULES[rule_id].run(ctx):
             suppression = suppressions.get(finding.line)
             if suppression is not None and suppression.covers(finding.rule):
@@ -88,37 +78,30 @@ def analyze_source(
                 continue
             active.append(finding)
 
-    if config.rule_enabled(UNUSED_SUPPRESSION_RULE):
-        for suppression in suppressions.values():
-            for rule_id in suppression.unused_rules():
-                if not config.rule_enabled(rule_id):
-                    continue  # a disabled rule cannot mark its waiver used
-                active.append(
-                    Finding(
-                        path=path,
-                        line=suppression.line,
-                        col=0,
-                        rule=UNUSED_SUPPRESSION_RULE,
-                        severity=Severity.WARNING,
-                        message=(
-                            f"unused suppression for {rule_id}; remove the "
-                            "noqa or re-trigger the rule"
-                        ),
-                        module_path=module_path,
-                    )
+    for suppression in suppressions.values():
+        for rule_id in suppression.unused_rules():
+            active.append(
+                Finding(
+                    path=path,
+                    line=suppression.line,
+                    col=0,
+                    rule=UNUSED_SUPPRESSION_RULE,
+                    severity=Severity.WARNING,
+                    message=(
+                        f"unused suppression for {rule_id}; remove the "
+                        "noqa or re-trigger the rule"
+                    ),
+                    module_path=module_path,
                 )
+            )
 
     active.sort()
     return active
 
 
-def analyze_file(
-    path: Path, config: AnalysisConfig | None = None
-) -> list[Finding]:
+def analyze_file(path: Path) -> list[Finding]:
     source = path.read_text(encoding="utf-8")
-    return analyze_source(
-        source, str(path), module_path_for(path), config
-    )
+    return analyze_source(source, str(path), module_path_for(path))
 
 
 def iter_python_files(paths: Sequence[Path]) -> Iterable[Path]:
@@ -130,12 +113,10 @@ def iter_python_files(paths: Sequence[Path]) -> Iterable[Path]:
             yield path
 
 
-def analyze_paths(
-    paths: Sequence[str | Path], config: AnalysisConfig | None = None
-) -> list[Finding]:
+def analyze_paths(paths: Sequence[str | Path]) -> list[Finding]:
     """Analyze every python file under ``paths``; findings are sorted."""
     findings: list[Finding] = []
     for path in iter_python_files([Path(p) for p in paths]):
-        findings.extend(analyze_file(path, config))
+        findings.extend(analyze_file(path))
     findings.sort()
     return findings

@@ -8,7 +8,7 @@ from enum import Enum
 
 
 class Severity(str, Enum):
-    """How serious a finding is; both levels fail the gate by default."""
+    """How serious a finding is; both levels fail the gate."""
 
     ERROR = "error"
     WARNING = "warning"
@@ -27,7 +27,7 @@ class Finding:
     module_path: str = ""
 
     def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline file.
+        """Line-independent identity carried by the JSON and SARIF reports.
 
         Line numbers churn on unrelated edits, so the fingerprint hashes
         only the rule, the package-relative path, and the message.

@@ -6,7 +6,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding, Severity
 from repro.errors import ConfigurationError
 
@@ -22,7 +21,6 @@ class ModuleContext:
     module_path: str
     tree: ast.Module
     source: str
-    config: AnalysisConfig
     lines: list[str] = field(default_factory=list)
 
     def in_scope(self, prefixes: Iterable[str]) -> bool:
@@ -41,14 +39,13 @@ class Rule:
     check: Callable[[ModuleContext], Iterator[RawFinding]]
 
     def run(self, ctx: ModuleContext) -> Iterator[Finding]:
-        severity = ctx.config.severities.get(self.id, self.default_severity)
         for line, col, message in self.check(ctx):
             yield Finding(
                 path=ctx.path,
                 line=line,
                 col=col,
                 rule=self.id,
-                severity=severity,
+                severity=self.default_severity,
                 message=message,
                 module_path=ctx.module_path,
             )
@@ -63,7 +60,7 @@ def rule(
     rationale: str,
     severity: Severity = Severity.ERROR,
 ) -> Callable[[Callable[[ModuleContext], Iterator[RawFinding]]], Rule]:
-    """Class-level decorator registering a check function as a rule."""
+    """Decorator registering a check function as a rule."""
 
     def wrap(check: Callable[[ModuleContext], Iterator[RawFinding]]) -> Rule:
         if rule_id in RULES:

@@ -22,6 +22,16 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis.config import (
+    API_SCOPE,
+    CAMPUS_HANDOFF_ALLOWED,
+    ENTROPY_ALLOWED,
+    OBS_ALLOWED,
+    ORDER_SCOPE,
+    SIM_SCOPE,
+    SWEEP_SCOPE,
+    UNITS_SCOPE,
+)
 from repro.analysis.registry import ModuleContext, RawFinding, rule
 from repro.analysis.findings import Severity
 
@@ -85,7 +95,7 @@ _ENTROPY_NUMPY_CALLS = {
     "experiment seed; module-level entropy breaks (plan, seed) replay.",
 )
 def det001_no_ambient_entropy(ctx: ModuleContext) -> Iterator[RawFinding]:
-    if ctx.module_path in ctx.config.entropy_allowed:
+    if ctx.module_path in ENTROPY_ALLOWED:
         return
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Import):
@@ -153,7 +163,7 @@ _WALLCLOCK_FROM_TIME = {
     "wall-clock reads make traces depend on host speed.",
 )
 def det002_no_wall_clock(ctx: ModuleContext) -> Iterator[RawFinding]:
-    if not ctx.in_scope(ctx.config.sim_scope):
+    if not ctx.in_scope(SIM_SCOPE):
         return
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "") == "time":
@@ -216,7 +226,7 @@ class _SetNames(ast.NodeVisitor):
     "when it reaches scheduling decisions the schedule stops replaying.",
 )
 def det003_set_iteration(ctx: ModuleContext) -> Iterator[RawFinding]:
-    if not ctx.in_scope(ctx.config.order_scope):
+    if not ctx.in_scope(ORDER_SCOPE):
         return
     declared = _SetNames()
     declared.visit(ctx.tree)
@@ -302,7 +312,7 @@ def _literal_issue(name: str, value: ast.AST) -> str | None:
     severity=Severity.WARNING,
 )
 def uni001_magic_literals(ctx: ModuleContext) -> Iterator[RawFinding]:
-    if not ctx.in_scope(ctx.config.units_scope):
+    if not ctx.in_scope(UNITS_SCOPE):
         return
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Assign):
@@ -410,7 +420,7 @@ def _exception_names(handler: ast.ExceptHandler) -> list[str]:
     "swallows taxonomy errors and hides broken invariants.",
 )
 def err002_broad_excepts(ctx: ModuleContext) -> Iterator[RawFinding]:
-    sim_scoped = ctx.in_scope(ctx.config.sim_scope)
+    sim_scoped = ctx.in_scope(SIM_SCOPE)
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Try):
             continue
@@ -450,7 +460,7 @@ _BLOCKING_ATTRS = {"time.sleep", "socket.socket", "subprocess.run"}
     "sockets, files, and sleeps stall the event loop and leak host state.",
 )
 def sim001_blocking_io(ctx: ModuleContext) -> Iterator[RawFinding]:
-    if not ctx.in_scope(ctx.config.sim_scope):
+    if not ctx.in_scope(SIM_SCOPE):
         return
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Import):
@@ -525,7 +535,7 @@ def _missing_annotations(
     "functions declare parameter and return types.",
 )
 def api001_public_annotations(ctx: ModuleContext) -> Iterator[RawFinding]:
-    if not ctx.in_scope(ctx.config.api_scope):
+    if not ctx.in_scope(API_SCOPE):
         return
 
     def walk_body(
@@ -563,7 +573,7 @@ def api001_public_annotations(ctx: ModuleContext) -> Iterator[RawFinding]:
     "bypass metrics and spans and fork the observability stream.",
 )
 def obs001_recorder_facade(ctx: ModuleContext) -> Iterator[RawFinding]:
-    for prefix in ctx.config.obs_allowed:
+    for prefix in OBS_ALLOWED:
         if ctx.module_path.startswith(prefix):
             return
     for node in ast.walk(ctx.tree):
@@ -597,7 +607,7 @@ def obs001_recorder_facade(ctx: ModuleContext) -> Iterator[RawFinding]:
     "per-run failure isolation for that artifact.",
 )
 def swp001_sweep_engine_only(ctx: ModuleContext) -> Iterator[RawFinding]:
-    if not ctx.in_scope(ctx.config.sweep_scope):
+    if not ctx.in_scope(SWEEP_SCOPE):
         return
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.ImportFrom):
@@ -643,7 +653,7 @@ _HANDOFF_PRIMITIVES = frozenset(
     "HandoffCoordinator.handoff instead.",
 )
 def cam001_handoff_coordinator_only(ctx: ModuleContext) -> Iterator[RawFinding]:
-    if ctx.in_scope(ctx.config.campus_handoff_allowed):
+    if ctx.in_scope(CAMPUS_HANDOFF_ALLOWED):
         return
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):

@@ -62,7 +62,6 @@ class MobilityModel:
         self._timeline: dict[str, list[tuple[float, int]]] = {
             ip: [(0.0, cell)] for ip, cell in self._cell_of.items()
         }
-        self.roams = 0
         self._rngs = None
         if plan is not None and plan.enabled:
             if n_cells < 2:
@@ -107,7 +106,6 @@ class MobilityModel:
                 target = (current + offset) % self.n_cells
                 self._cell_of[ip] = target
                 self._timeline[ip].append((now, target))
-                self.roams += 1
                 self.obs.event(
                     now, "campus.roam",
                     client=ip,

@@ -471,50 +471,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from pathlib import Path
+    from repro.analysis import RENDERERS, analyze_paths, render_statistics
 
-    from repro.analysis import (
-        RENDERERS,
-        AnalysisConfig,
-        analyze_paths,
-        filter_baselined,
-        load_baseline,
-        render_statistics,
-        write_baseline,
-    )
-
-    config = AnalysisConfig(
-        select=(
-            frozenset(args.select.split(",")) if args.select else None
-        ),
-        ignore=(
-            frozenset(args.ignore.split(",")) if args.ignore else frozenset()
-        ),
-    )
-    paths = list(args.paths)
-    if args.changed is not None:
-        from repro.analysis.incremental import (
-            changed_python_files,
-            restrict_to,
-        )
-
-        paths = restrict_to(changed_python_files(args.changed), paths)
-        if not paths:
-            if args.format == "text":
-                print("no changed python files")
-            return 0
-    findings = analyze_paths(paths, config)
-
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if args.write_baseline:
-        if baseline_path is None:
-            raise ConfigurationError("--write-baseline requires --baseline")
-        write_baseline(baseline_path, findings)
-        print(f"wrote baseline with {len(findings)} finding(s) to {baseline_path}")
-        return 0
-    if baseline_path is not None and baseline_path.exists():
-        findings = filter_baselined(findings, load_baseline(baseline_path))
-
+    findings = analyze_paths(args.paths)
     rendered = RENDERERS[args.format](findings)
     if rendered:
         print(rendered)
@@ -850,19 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--format",
                          choices=("text", "json", "github", "sarif"),
                          default="text")
-    analyze.add_argument(
-        "--changed", nargs="?", const="main", default=None, metavar="BASE",
-        help="only analyze files changed since merge-base(HEAD, BASE) "
-             "plus untracked files (default BASE: main)",
-    )
-    analyze.add_argument("--select", default="",
-                         help="comma list of rule ids to run exclusively")
-    analyze.add_argument("--ignore", default="",
-                         help="comma list of rule ids to skip")
-    analyze.add_argument("--baseline", default=None, metavar="FILE",
-                         help="JSON baseline of grandfathered findings")
-    analyze.add_argument("--write-baseline", action="store_true",
-                         help="record current findings into --baseline")
     analyze.add_argument("--statistics", action="store_true",
                          help="append per-rule finding counts")
     analyze.set_defaults(func=cmd_analyze)

@@ -16,9 +16,9 @@ tap plays the role of Linux IPQ:
 * Everything else (client → server traffic, ACKs of spoofed flows)
   either matches one of the spoofed sockets or is bridged through.
 
-The spoof table records the rewrite rules for observability — asserting
-transparency is then a matter of checking the wireless capture only
-ever shows server/client addresses.
+Transparency needs no header rewriting: both halves of a split are
+bound to the spoofed endpoints, so the wireless capture only ever shows
+server/client addresses.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from repro.core.burster import Burster
 from repro.core.queues import ClientQueue, QueueEntry
 from repro.core.schedule import SCHEDULE_PORT, Schedule
 from repro.errors import ConfigurationError
-from repro.net.addr import BROADCAST_IP, Endpoint, FlowKey
-from repro.net.nat import SpoofTable
+from repro.net.addr import BROADCAST_IP, Endpoint
 from repro.net.node import Interface, Node
 from repro.net.packet import Packet, TcpFlags
 from repro.net.tcp import TcpConnection
@@ -110,7 +109,6 @@ class TransparentProxy(Node):
         self.air = self.add_interface("air")  # toward the access point
         self.add_route(BROADCAST_IP, self.air)
         self.taps.append(self._intercept)
-        self.spoof_table = SpoofTable()
         self.burster = Burster(self, obs=self.obs)
         self._queues: dict[str, ClientQueue] = {}
         #: Cached ``sorted(self._queues.items())``; invalidated whenever
@@ -358,12 +356,6 @@ class TransparentProxy(Node):
         self._splits_by_client.setdefault(client_ep.ip, []).append(split)
         self.queue_for(client_ep.ip)  # ensure the client is schedulable
         self._client_conns.setdefault(client_ep.ip, []).append(client_side)
-        self.spoof_table.add_rule(
-            FlowKey("tcp", client_ep, server_ep), new_dst=Endpoint(self.ip, server_ep.port)
-        )
-        self.spoof_table.add_rule(
-            FlowKey("tcp", server_ep, client_ep), new_src=server_ep
-        )
 
         client_side.on_data = lambda n, p, s=split: self._on_client_request(s, n, p)
         client_side.on_close = lambda c, s=split: self._on_client_close(s)
@@ -446,12 +438,6 @@ class TransparentProxy(Node):
             if split.client_side in conns:
                 conns.remove(split.client_side)
             self.burster.forget(split.client_side)
-            self.spoof_table.remove_flow(
-                FlowKey("tcp", split.client_ep, split.server_ep)
-            )
-            self.spoof_table.remove_flow(
-                FlowKey("tcp", split.server_ep, split.client_ep)
-            )
 
     # -- shard migration (campus handoffs) ---------------------------------------
 
@@ -491,12 +477,6 @@ class TransparentProxy(Node):
             split.server_side.abort()
             self.burster.forget(split.client_side)
             self._splits.pop((split.client_ep, split.server_ep), None)
-            self.spoof_table.remove_flow(
-                FlowKey("tcp", split.client_ep, split.server_ep)
-            )
-            self.spoof_table.remove_flow(
-                FlowKey("tcp", split.server_ep, split.client_ep)
-            )
         self._client_conns.pop(client_ip, None)
         if queue is None:
             return [], tcp_dropped

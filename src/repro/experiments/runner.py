@@ -9,6 +9,7 @@ exact pipeline of the paper's §4.1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -129,6 +130,26 @@ class ExperimentConfig:
             raise ConfigurationError("experiment needs at least one client")
         if self.scheduler == "static" and self.burst_interval_s is None:
             raise ConfigurationError("static scheduling needs a fixed interval")
+        if self.burst_interval_s is not None and not (
+            0 < self.burst_interval_s < math.inf
+        ):
+            raise ConfigurationError(
+                "burst interval must be positive and finite: "
+                f"{self.burst_interval_s!r}"
+            )
+        if not 0.0 <= self.static_tcp_weight < 1.0:
+            raise ConfigurationError(
+                f"static TCP weight must be in [0, 1): {self.static_tcp_weight!r}"
+            )
+        if self.policy_threshold_bytes < 0:
+            raise ConfigurationError(
+                "policy threshold must be non-negative: "
+                f"{self.policy_threshold_bytes!r}"
+            )
+        if self.policy_max_defer < 0:
+            raise ConfigurationError(
+                f"policy max defer must be non-negative: {self.policy_max_defer!r}"
+            )
         if (
             self.campus is not None
             and self.campus.n_cells > 1

@@ -1,10 +1,8 @@
-"""Addresses, endpoints and flow keys.
+"""Addresses and endpoints.
 
 Addresses are plain strings ("10.0.0.3") — the library never parses
 octets, it only compares addresses for equality, so any hashable string
-works. An :class:`Endpoint` pairs an address with a port; a
-:class:`FlowKey` is the classic 5-tuple used to demultiplex TCP
-connections and to key the proxy's spoof table.
+works. An :class:`Endpoint` pairs an address with a port.
 """
 
 from __future__ import annotations
@@ -32,19 +30,3 @@ class Endpoint:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.ip}:{self.port}"
-
-
-@dataclass(frozen=True, slots=True)
-class FlowKey:
-    """Protocol 5-tuple identifying one direction of a flow."""
-
-    proto: str
-    src: Endpoint
-    dst: Endpoint
-
-    def reversed(self) -> "FlowKey":
-        """The same flow seen from the other direction."""
-        return FlowKey(self.proto, self.dst, self.src)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.proto} {self.src} -> {self.dst}"

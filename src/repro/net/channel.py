@@ -130,7 +130,6 @@ class ChannelModel:
                 chain, streams.get(f"{LOSS_STREAM_PREFIX}{ip}")
             )
         self.transitions = 0
-        self.tx_losses = 0
         self.rx_misses = 0
 
     @property
@@ -190,10 +189,7 @@ class ChannelModel:
         state = self._clients.get(packet.src.ip)
         if state is None:
             return False
-        if self._frame_lost(state, packet.src.ip, now):
-            self.tx_losses += 1
-            return True
-        return False
+        return self._frame_lost(state, packet.src.ip, now)
 
     def rx_blocked(self, now: float, client_ip: str) -> bool:
         """Receiver-side check: a frame toward ``client_ip`` fades."""

@@ -110,7 +110,6 @@ class WirelessMedium:
         #: frame, in miss order, whatever the obs mode: the energy
         #: analyzer's loss accounting.
         self.data_misses: list[tuple[str, int]] = []
-        self.busy_time = 0.0
 
     # -- topology ----------------------------------------------------------
 
@@ -235,7 +234,6 @@ class WirelessMedium:
         src_iface, packet, start = self._in_flight
         self._in_flight = None
         now = sim.now
-        self.busy_time += now - start
         if self.drop is not None and self.drop(packet):
             self.counters.incr("medium.channel_drop")
             self.obs.event(

@@ -9,12 +9,11 @@ boolean set by the proxy's bursting path.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Flag, auto
 from typing import Any, Optional
 
 from repro.errors import NetworkError
-from repro.net.addr import BROADCAST_IP, Endpoint, FlowKey
+from repro.net.addr import BROADCAST_IP, Endpoint
 
 #: IPv4 header bytes.
 IP_HEADER = 20
@@ -60,16 +59,16 @@ class Packet:
 
     A hand-rolled ``__slots__`` class (not a dataclass): packets are
     the most-allocated object in the simulator after events, and their
-    sizes are read several times per hop, so ``transport_header`` /
-    ``ip_size`` / ``wire_size`` / ``is_broadcast`` are precomputed
-    attributes rather than property chains. Addresses and sizes are
-    treated as immutable after construction (``spoofed`` copies);
-    ``tos_marked`` and ``meta`` stay mutable.
+    sizes are read several times per hop, so ``ip_size`` /
+    ``wire_size`` / ``is_broadcast`` are precomputed attributes rather
+    than property chains. Addresses and sizes are treated as immutable
+    after construction; ``tos_marked`` and ``meta`` stay mutable.
 
     Attributes:
         proto: "udp" or "tcp".
-        src/dst: transport endpoints. The proxy's spoof table rewrites
-            these to keep the proxy invisible.
+        src/dst: transport endpoints. The proxy's split connections
+            are bound to the spoofed endpoints, so no packet the proxy
+            sends carries its own address.
         payload_size: application bytes carried (0 for pure ACKs).
         seq: TCP: first payload byte's stream offset; UDP: datagram index.
         ack: TCP cumulative acknowledgement (next expected byte).
@@ -84,7 +83,7 @@ class Packet:
     __slots__ = (
         "proto", "src", "dst", "payload_size", "seq", "ack", "flags",
         "tos_marked", "sack_blocks", "meta", "created_at", "packet_id",
-        "transport_header", "ip_size", "wire_size", "is_broadcast",
+        "ip_size", "wire_size", "is_broadcast",
     )
 
     def __init__(
@@ -122,8 +121,7 @@ class Packet:
         self.meta = meta if meta is not None else {}
         self.created_at = created_at
         self.packet_id = next(_packet_ids) if packet_id is None else packet_id
-        #: Bytes of transport header / at the IP layer / on the wire.
-        self.transport_header = transport
+        #: Bytes at the IP layer / on the wire.
         ip_size = IP_HEADER + transport + payload_size
         self.ip_size = ip_size
         self.wire_size = LINK_HEADER + ip_size
@@ -133,33 +131,9 @@ class Packet:
     # -- helpers ---------------------------------------------------------------
 
     @property
-    def flow(self) -> FlowKey:
-        """Directional flow key of this packet."""
-        return FlowKey(self.proto, self.src, self.dst)
-
-    @property
     def end_seq(self) -> int:
         """TCP: stream offset one past the last payload byte."""
         return self.seq + self.payload_size
-
-    def spoofed(
-        self,
-        src: Optional[Endpoint] = None,
-        dst: Optional[Endpoint] = None,
-    ) -> "Packet":
-        """A copy with rewritten addresses (the IPQ header rewrite)."""
-        return Packet(
-            proto=self.proto,
-            src=src or self.src,
-            dst=dst or self.dst,
-            payload_size=self.payload_size,
-            seq=self.seq,
-            ack=self.ack,
-            flags=self.flags,
-            tos_marked=self.tos_marked,
-            meta=dict(self.meta),
-            created_at=self.created_at,
-        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         mark = " [MARK]" if self.tos_marked else ""

@@ -155,9 +155,6 @@ class TcpConnection:
 
         # -- stats --
         self.bytes_delivered = 0  # in-order payload handed to the app
-        self.segments_sent = 0
-        self.segments_retransmitted = 0
-        self.segments_received = 0
         self._closed_notified = False
 
         node.register_tcp_connection(self)
@@ -237,7 +234,6 @@ class TcpConnection:
         """Upcall from the node's dispatcher for this connection."""
         if self.state == CLOSED:
             return
-        self.segments_received += 1
         flags = packet.flags
 
         if TcpFlags.SYN in flags and TcpFlags.ACK in flags:
@@ -476,10 +472,7 @@ class TcpConnection:
             flags=TcpFlags.ACK,
             created_at=self.sim.now,
         )
-        self.segments_sent += 1
-        if retransmit:
-            self.segments_retransmitted += 1
-        else:
+        if not retransmit:
             self.last_progress_at = self.sim.now
             if self._rtt_probe is None:
                 # Karn's rule: only time segments sent exactly once.

@@ -40,7 +40,6 @@ class UdpSocket:
         self.local = Endpoint(node.ip, port)
         self._on_receive = on_receive
         self._closed = False
-        self.datagrams_sent = 0
         self.datagrams_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -70,7 +69,6 @@ class UdpSocket:
             meta=dict(meta) if meta else {},
             created_at=self.node.sim.now,
         )
-        self.datagrams_sent += 1
         self.bytes_sent += payload_size
         self.node.send_packet(packet)
         return packet

@@ -52,10 +52,6 @@ class ChaosShim:
         self.dropped_random = 0
         self.dropped_blackout = 0
         self.dropped_outage = 0
-        self.origin_kills = 0
-        self.origin_restarts = 0
-        self.client_vanishes = 0
-        self.client_rejoins = 0
 
     # -- datagram filter ---------------------------------------------------
 
@@ -142,19 +138,15 @@ class ChaosShim:
                 await asyncio.sleep(delay)
             if action == "origin-kill" and origin is not None:
                 origin.kill()
-                self.origin_kills += 1
                 log.info("chaos: origin killed at t=%.2fs", at)
             elif action == "origin-restart" and origin is not None:
                 await origin.restart()
-                self.origin_restarts += 1
                 log.info("chaos: origin restarted at t=%.2fs", at)
             elif action == "client-vanish":
                 clients[self.plan.churn[index].client_index].stop()
-                self.client_vanishes += 1
                 log.info("chaos: client vanished at t=%.2fs", at)
             elif action == "client-rejoin":
                 await clients[self.plan.churn[index].client_index].start()
-                self.client_rejoins += 1
                 log.info("chaos: client rejoined at t=%.2fs", at)
 
     @property

@@ -63,7 +63,6 @@ class AsyncPowerClient(ScheduleMachine):
         self.wnic = Wnic(self.clock, client_id, obs=obs)
         self.control_port: Optional[int] = None
         self.marks_heard = 0
-        self.heartbeats_sent = 0
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._timer: Optional[asyncio.TimerHandle] = None
         self._last_seq = 0
@@ -139,7 +138,6 @@ class AsyncPowerClient(ScheduleMachine):
             self._transport.sendto(
                 encode_heartbeat(self.client_id, self._last_seq), addr
             )
-            self.heartbeats_sent += 1
         except OSError:  # pragma: no cover - transient socket issue
             pass
 

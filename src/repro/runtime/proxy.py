@@ -153,7 +153,7 @@ class _Connection:
 
     __slots__ = (
         "state", "client_writer", "origin_writer", "tasks",
-        "queued_chunks", "downstream_done", "upstream_done", "closed",
+        "queued_chunks", "downstream_done", "closed",
     )
 
     def __init__(
@@ -168,7 +168,6 @@ class _Connection:
         self.tasks: tuple[asyncio.Task, ...] = ()
         self.queued_chunks = 0
         self.downstream_done = False
-        self.upstream_done = False
         self.closed = False
 
 
@@ -546,7 +545,6 @@ class AsyncProxy:
         except (ConnectionError, OSError):
             pass  # either side reset; the downstream relay cleans up
         finally:
-            conn.upstream_done = True
             if not conn.closed and not conn.origin_writer.is_closing():
                 # Half-close toward the origin so it still may respond.
                 if conn.origin_writer.can_write_eof():

@@ -18,7 +18,7 @@ that is the point of its transparency).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -101,7 +101,6 @@ class WebServerApp:
         self.requests_served = 0
         self.bytes_served = 0
         TcpListener(server, HTTP_PORT, self._on_accept)
-        self._conn_meta: dict[TcpConnection, int] = {}
 
     def _on_accept(self, conn: TcpConnection) -> None:
         state = {"request_bytes": 0, "size": None}

@@ -1,26 +1,16 @@
-"""Engine mechanics: suppressions, baseline, pragmas, select/ignore."""
-
-import json
-
-import pytest
+"""Engine mechanics: suppressions and the module-path pragma."""
 
 from repro.analysis import (
-    EVERYWHERE,
     PARSE_RULE,
     UNUSED_SUPPRESSION_RULE,
-    AnalysisConfig,
     analyze_source,
-    filter_baselined,
-    load_baseline,
     module_path_for,
-    write_baseline,
 )
 from repro.analysis.suppress import parse_suppressions
-from repro.errors import ConfigurationError
 
 
-def analyze(source, module_path="experiments/fake.py", config=None):
-    return analyze_source(source, "fake.py", module_path, config)
+def analyze(source, module_path="experiments/fake.py"):
+    return analyze_source(source, "fake.py", module_path)
 
 
 class TestSuppressions:
@@ -58,11 +48,6 @@ class TestSuppressions:
         src = 's = "# repro: noqa[ERR001] -- not a comment"\n'
         assert parse_suppressions(src) == {}
 
-    def test_disabled_rule_waiver_not_reported_unused(self):
-        src = 'raise ValueError("x")  # repro: noqa[ERR001] -- intentional\n'
-        config = AnalysisConfig(ignore=frozenset({"ERR001"}))
-        assert analyze(src, config=config) == []
-
 
 class TestEngine:
     def test_syntax_error_reported_as_parse_finding(self):
@@ -78,18 +63,6 @@ class TestEngine:
             "SIM001"
         }
 
-    def test_select_runs_only_listed_rules(self):
-        src = "import random\nraise ValueError('x')\n"
-        config = AnalysisConfig(select=frozenset({"DET001"}))
-        rules = {f.rule for f in analyze(src, config=config)}
-        assert rules == {"DET001"}
-
-    def test_everywhere_config_ignores_scopes(self):
-        src = "import socket\n"
-        assert {f.rule for f in analyze(src, "outside.py", EVERYWHERE)} == {
-            "SIM001"
-        }
-
     def test_module_path_for(self):
         from pathlib import Path
 
@@ -102,66 +75,3 @@ class TestEngine:
         src = "raise ValueError('b')\nraise ValueError('a')\n"
         findings = analyze(src)
         assert [f.line for f in findings] == [1, 2]
-
-
-class TestBaseline:
-    def test_round_trip_filters_known_findings(self, tmp_path):
-        src = "raise ValueError('x')\n"
-        findings = analyze(src)
-        assert findings
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings)
-        allowed = load_baseline(path)
-        assert filter_baselined(findings, allowed) == []
-
-    def test_new_findings_survive_filter(self, tmp_path):
-        old = analyze("raise ValueError('x')\n")
-        path = tmp_path / "baseline.json"
-        write_baseline(path, old)
-        allowed = load_baseline(path)
-        new = analyze("raise ValueError('x')\nraise RuntimeError('y')\n")
-        fresh = filter_baselined(new, allowed)
-        assert len(fresh) == 1
-        assert "RuntimeError" in fresh[0].message
-
-    def test_count_budget_is_respected(self, tmp_path):
-        one = analyze("raise ValueError('x')\n")
-        path = tmp_path / "baseline.json"
-        write_baseline(path, one)
-        allowed = load_baseline(path)
-        two = analyze("raise ValueError('x')\nraise ValueError('x')\n")
-        assert len(filter_baselined(two, allowed)) == 1
-
-    def test_corrupt_baseline_raises_configuration_error(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("not json")
-        with pytest.raises(ConfigurationError):
-            load_baseline(path)
-
-    def test_version_mismatch_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "findings": {}}))
-        with pytest.raises(ConfigurationError):
-            load_baseline(path)
-
-    def test_stale_waivers_cannot_be_grandfathered(self, tmp_path):
-        # A file whose only problem is an unused suppression: the
-        # SUP001 finding must neither be written into a baseline nor
-        # filtered out by one that (hand-edited) lists it.
-        src = "x = 1  # repro: noqa[ERR001] -- nothing here raises\n"
-        findings = analyze(src)
-        assert [f.rule for f in findings] == ["SUP001"]
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings)
-        assert load_baseline(path) == {}  # nothing was recorded
-        forged = {findings[0].fingerprint(): 5}
-        assert filter_baselined(findings, forged) == findings
-
-    def test_parse_errors_cannot_be_grandfathered(self, tmp_path):
-        findings = analyze("def broken(:\n")
-        assert [f.rule for f in findings] == ["E000"]
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings)
-        assert load_baseline(path) == {}
-        forged = {findings[0].fingerprint(): 1}
-        assert filter_baselined(findings, forged) == findings

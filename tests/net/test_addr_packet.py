@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AddressError, NetworkError
-from repro.net.addr import BROADCAST_IP, Endpoint, FlowKey
+from repro.net.addr import BROADCAST_IP, Endpoint
 from repro.net.packet import (
     IP_HEADER,
     LINK_HEADER,
@@ -40,14 +40,6 @@ class TestEndpoint:
         assert len({Endpoint("10.0.0.1", 80), Endpoint("10.0.0.1", 80)}) == 1
 
 
-class TestFlowKey:
-    def test_reversed_swaps_endpoints(self):
-        flow = FlowKey("tcp", Endpoint("a", 1), Endpoint("b", 2))
-        rev = flow.reversed()
-        assert rev.src == flow.dst and rev.dst == flow.src
-        assert rev.reversed() == flow
-
-
 class TestPacket:
     def test_rejects_unknown_protocol(self):
         with pytest.raises(NetworkError):
@@ -75,22 +67,8 @@ class TestPacket:
         packet = make_packet(proto="tcp", seq=1000, payload_size=500)
         assert packet.end_seq == 1500
 
-    def test_spoofed_copy_rewrites_addresses(self):
-        packet = make_packet(tos_marked=True, meta={"k": "v"})
-        spoofed = packet.spoofed(src=Endpoint("99.0.0.1", 1234))
-        assert spoofed.src == Endpoint("99.0.0.1", 1234)
-        assert spoofed.dst == packet.dst
-        assert spoofed.tos_marked
-        assert spoofed.meta == {"k": "v"}
-        assert spoofed.meta is not packet.meta
-        assert spoofed.packet_id != packet.packet_id
-
     def test_packet_ids_unique(self):
         assert make_packet().packet_id != make_packet().packet_id
-
-    def test_flow_key_matches_addresses(self):
-        packet = make_packet()
-        assert packet.flow == FlowKey("udp", packet.src, packet.dst)
 
     def test_tcp_flags_combine(self):
         flags = TcpFlags.SYN | TcpFlags.ACK

@@ -1,11 +1,9 @@
-"""Unit tests for SpoofTable, DummyNetPipe and MonitoringStation."""
+"""Unit tests for DummyNetPipe and MonitoringStation."""
 
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.addr import Endpoint, FlowKey
-from repro.net.nat import SpoofTable
-from repro.net.packet import Packet
+from repro.net.addr import Endpoint
 from repro.net.shaper import DummyNetPipe
 from repro.net.sniffer import MonitoringStation
 from repro.net.udp import UdpSocket
@@ -13,55 +11,6 @@ from repro.sim import RngStreams, Simulator
 from repro.units import mbps, ms
 
 from tests.net.helpers import wireless_cell
-
-
-CLIENT = Endpoint("10.0.1.1", 4000)
-SERVER = Endpoint("10.0.2.1", 80)
-PROXY = Endpoint("10.0.0.9", 8080)
-
-
-class TestSpoofTable:
-    def test_rewrite_matching_flow(self):
-        table = SpoofTable()
-        table.add_rule(
-            FlowKey("tcp", CLIENT, SERVER), new_dst=PROXY
-        )
-        packet = Packet("tcp", CLIENT, SERVER, payload_size=10)
-        rewritten = table.rewrite(packet)
-        assert rewritten is not None
-        assert rewritten.dst == PROXY
-        assert rewritten.src == CLIENT
-        assert table.rewrites == 1
-
-    def test_no_rule_returns_none(self):
-        table = SpoofTable()
-        packet = Packet("tcp", CLIENT, SERVER)
-        assert table.rewrite(packet) is None
-
-    def test_rule_must_rewrite_something(self):
-        with pytest.raises(NetworkError):
-            SpoofTable().add_rule(FlowKey("tcp", CLIENT, SERVER))
-
-    def test_duplicate_rule_rejected(self):
-        table = SpoofTable()
-        table.add_rule(FlowKey("tcp", CLIENT, SERVER), new_dst=PROXY)
-        with pytest.raises(NetworkError):
-            table.add_rule(FlowKey("tcp", CLIENT, SERVER), new_src=PROXY)
-
-    def test_remove_flow_is_idempotent(self):
-        table = SpoofTable()
-        flow = FlowKey("tcp", CLIENT, SERVER)
-        table.add_rule(flow, new_dst=PROXY)
-        table.remove_flow(flow)
-        table.remove_flow(flow)
-        assert len(table) == 0
-
-    def test_directionality(self):
-        """A rule for one direction does not affect the reverse."""
-        table = SpoofTable()
-        table.add_rule(FlowKey("udp", SERVER, CLIENT), new_src=PROXY)
-        reverse = Packet("udp", CLIENT, SERVER)
-        assert table.rewrite(reverse) is None
 
 
 class TestDummyNetPipe:

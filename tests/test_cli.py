@@ -88,9 +88,33 @@ class TestCommands:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["experiment"] == "memory-footprint"
 
-    def test_bad_client_spec_errors(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", "--clients", "bogus:1", "--duration", "5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["run", "--clients", "bogus:1"], id="client-spec"),
+            pytest.param(["run", "--interval", "0"], id="interval"),
+            pytest.param(["run", "--interval", "nan"], id="interval-nan"),
+            pytest.param(["run", "--interval", "inf"], id="interval-inf"),
+            pytest.param(
+                ["run", "--scheduler", "static", "--tcp-weight", "1.5"],
+                id="tcp-weight",
+            ),
+            pytest.param(
+                ["run", "--policy", "channel", "--policy-max-defer", "-1"],
+                id="policy-max-defer",
+            ),
+            pytest.param(
+                ["run", "--policy", "joint", "--policy-threshold", "-1"],
+                id="policy-threshold",
+            ),
+            pytest.param(["sweep", "--intervals", "0,100ms"], id="sweep-interval"),
+        ],
+    )
+    def test_bad_client_spec_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--duration", "5"])
+        assert excinfo.value.code == 2
+        assert "repro: error:" in capsys.readouterr().err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
