@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.energy.model import integrate_intervals, naive_breakdown
+from repro.energy.model import client_breakdowns
 from repro.energy.report import ClientReport
 from repro.errors import TraceError
 from repro.net.sniffer import FrameRecord
@@ -193,21 +193,12 @@ class EnergyAnalyzer:
         come from the client daemon's own counters — the trace cannot
         distinguish *why* a client was awake, only *that* it was.
         """
-        awake = wnic.awake_intervals(self.duration_s)
-        rx = self.rx_intervals(ip)
-        tx = self.tx_intervals(ip)
-        breakdown = integrate_intervals(
-            awake=awake,
-            rx_frames=rx,
-            tx_frames=tx,
+        breakdown, naive = client_breakdowns(
+            awake=wnic.awake_intervals(self.duration_s),
+            rx_frames=self.rx_intervals(ip),
+            tx_frames=self.tx_intervals(ip),
             duration_s=self.duration_s,
             wake_count=wnic.wake_count,
-            power=self.power,
-        )
-        naive = naive_breakdown(
-            rx_frames=rx,
-            tx_frames=tx,
-            duration_s=self.duration_s,
             power=self.power,
         )
         data_frames = self.data_frames_to(ip)

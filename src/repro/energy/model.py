@@ -6,7 +6,10 @@ a client, how much awake time was spent receiving/transmitting versus
 idling? Overlaps are computed with a piecewise-linear cumulative-time
 function evaluated by ``numpy.interp`` — O((n+m) log(n+m)) and fully
 vectorized, per the HPC guide's "vectorize the hot loop" advice (traces
-contain tens of thousands of frames).
+contain tens of thousands of frames). :func:`client_breakdowns` prices
+a client's aware and naive card from one merge of each direction's
+airtime; :func:`integrate_intervals` and :func:`naive_breakdown` run on
+the same code.
 """
 
 from __future__ import annotations
@@ -53,6 +56,22 @@ def _validate_intervals(intervals: Sequence[Interval], label: str) -> np.ndarray
     return array
 
 
+def _cumulative(array: np.ndarray) -> Callable[[object], np.ndarray]:
+    """:func:`cumulative_time_fn` of an already validated ``(n, 2)`` array."""
+    if array.size == 0:
+        return lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    edges = array.reshape(-1)  # start0, end0, start1, end1, ...
+    totals = np.cumsum(array[:, 1] - array[:, 0])
+    cumulative = np.zeros(edges.size)
+    cumulative[1::2] = totals
+    cumulative[2::2] = totals[:-1]
+
+    def fn(t: object) -> np.ndarray:
+        return np.interp(np.asarray(t, dtype=float), edges, cumulative)
+
+    return fn
+
+
 def cumulative_time_fn(
     intervals: Sequence[Interval],
 ) -> Callable[[object], np.ndarray]:
@@ -61,19 +80,18 @@ def cumulative_time_fn(
     ``intervals`` must be sorted and disjoint (awake intervals from a
     WNIC log always are).
     """
-    array = _validate_intervals(intervals, "base")
-    if array.size == 0:
-        return lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    edges = array.reshape(-1)  # start0, end0, start1, end1, ...
-    durations = array[:, 1] - array[:, 0]
-    cumulative = np.zeros(edges.size)
-    cumulative[1::2] = np.cumsum(durations)
-    cumulative[2::2] = np.cumsum(durations)[:-1]
+    return _cumulative(_validate_intervals(intervals, "base"))
 
-    def fn(t):
-        return np.interp(np.asarray(t, dtype=float), edges, cumulative)
 
-    return fn
+def _covered(fn: Callable[[object], np.ndarray], merged: np.ndarray) -> float:
+    """Time that ``fn``'s intervals cover inside ``merged`` (sorted,
+    disjoint)."""
+    if merged.size == 0:
+        return 0.0
+    # F is elementwise: one call over both columns gives the same floats
+    # as one call per column.
+    at = fn(merged)
+    return float((at[:, 1] - at[:, 0]).sum())
 
 
 def overlap_total(
@@ -84,12 +102,10 @@ def overlap_total(
     ``queries`` may overlap each other; overlapping query intervals are
     merged first so shared airtime is not double counted.
     """
-    query_array = np.asarray(queries, dtype=float).reshape(-1, 2)
-    if query_array.size == 0:
+    merged = merge_intervals(queries)
+    if merged.size == 0:
         return 0.0
-    merged = merge_intervals(query_array)
-    fn = cumulative_time_fn(base)
-    return float(np.sum(fn(merged[:, 1]) - fn(merged[:, 0])))
+    return _covered(cumulative_time_fn(base), merged)
 
 
 def intersect_intervals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,7 +133,7 @@ def intersect_intervals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=float).reshape(-1, 2)
 
 
-def merge_intervals(intervals: np.ndarray) -> np.ndarray:
+def merge_intervals(intervals: Sequence[Interval] | np.ndarray) -> np.ndarray:
     """Merge possibly-overlapping intervals into a sorted disjoint set."""
     array = np.asarray(intervals, dtype=float).reshape(-1, 2)
     if array.size == 0:
@@ -138,6 +154,50 @@ def merge_intervals(intervals: np.ndarray) -> np.ndarray:
     return np.asarray(merged)
 
 
+def _integrate(
+    awake: np.ndarray,
+    rx: np.ndarray,
+    tx: np.ndarray,
+    duration_s: float,
+    wake_count: int,
+    power: PowerModel,
+) -> EnergyBreakdown:
+    """The breakdown from validated awake intervals and the merged
+    receive and transmit airtime (see :func:`integrate_intervals`)."""
+    awake_total = float((awake[:, 1] - awake[:, 0]).sum()) if awake.size else 0.0
+    awake_fn = _cumulative(awake)
+    receive_s = _covered(awake_fn, rx)
+    tx_in_awake = _covered(awake_fn, tx)
+    transmit_s = float((tx[:, 1] - tx[:, 0]).sum()) if tx.size else 0.0
+    # Half-duplex: where rx and tx airtime coincide (adversarial or
+    # replayed traces), transmit wins and receive is not charged —
+    # otherwise the residencies sum past the run duration.
+    if rx.size and tx.size and awake.size:
+        rx_in_awake = intersect_intervals(awake, rx)
+        if rx_in_awake.size:
+            receive_s = max(
+                0.0, receive_s - _covered(_cumulative(rx_in_awake), tx)
+            )
+    idle_s = max(0.0, awake_total - receive_s - tx_in_awake)
+    sleep_s = max(0.0, duration_s - awake_total - (transmit_s - tx_in_awake))
+    energy = power.energy(sleep_s, idle_s, receive_s, transmit_s, wake_count)
+    return EnergyBreakdown(
+        sleep_s=sleep_s,
+        idle_s=idle_s,
+        receive_s=receive_s,
+        transmit_s=transmit_s,
+        wake_count=wake_count,
+        energy_j=energy,
+    )
+
+
+def _checked_awake(awake: Sequence[Interval], duration_s: float) -> np.ndarray:
+    """The validated awake intervals of a run of ``duration_s``."""
+    if duration_s < 0:
+        raise TraceError(f"negative duration: {duration_s}")
+    return _validate_intervals(awake, "awake")
+
+
 def integrate_intervals(
     awake: Sequence[Interval],
     rx_frames: Sequence[Interval],
@@ -155,40 +215,13 @@ def integrate_intervals(
     the daemon's awake windows is charged at transmit power and
     subtracted from sleep time.
     """
-    if duration_s < 0:
-        raise TraceError(f"negative duration: {duration_s}")
-    awake_array = _validate_intervals(awake, "awake")
-    awake_total = float(np.sum(awake_array[:, 1] - awake_array[:, 0])) if awake_array.size else 0.0
-    receive_s = overlap_total(awake, rx_frames)
-    tx_in_awake = overlap_total(awake, tx_frames)
-    tx_array = np.asarray(tx_frames, dtype=float).reshape(-1, 2)
-    transmit_s = (
-        float(np.sum(merge_intervals(tx_array)[:, 1] - merge_intervals(tx_array)[:, 0]))
-        if tx_array.size
-        else 0.0
-    )
-    # Half-duplex: where rx and tx airtime coincide (adversarial or
-    # replayed traces), transmit wins and receive is not charged —
-    # otherwise the residencies sum past the run duration.
-    rx_array = np.asarray(rx_frames, dtype=float).reshape(-1, 2)
-    if rx_array.size and tx_array.size and awake_array.size:
-        rx_in_awake = intersect_intervals(
-            awake_array, merge_intervals(rx_array)
-        )
-        if rx_in_awake.size:
-            receive_s = max(
-                0.0, receive_s - overlap_total(rx_in_awake, tx_frames)
-            )
-    idle_s = max(0.0, awake_total - receive_s - tx_in_awake)
-    sleep_s = max(0.0, duration_s - awake_total - (transmit_s - tx_in_awake))
-    energy = power.energy(sleep_s, idle_s, receive_s, transmit_s, wake_count)
-    return EnergyBreakdown(
-        sleep_s=sleep_s,
-        idle_s=idle_s,
-        receive_s=receive_s,
-        transmit_s=transmit_s,
-        wake_count=wake_count,
-        energy_j=energy,
+    return _integrate(
+        _checked_awake(awake, duration_s),
+        merge_intervals(rx_frames),
+        merge_intervals(tx_frames),
+        duration_s,
+        wake_count,
+        power,
     )
 
 
@@ -207,4 +240,25 @@ def naive_breakdown(
         duration_s=duration_s,
         wake_count=0,
         power=power,
+    )
+
+
+def client_breakdowns(
+    awake: Sequence[Interval],
+    rx_frames: Sequence[Interval],
+    tx_frames: Sequence[Interval],
+    duration_s: float,
+    wake_count: int,
+    power: PowerModel,
+) -> tuple[EnergyBreakdown, EnergyBreakdown]:
+    """One client's :func:`integrate_intervals` and :func:`naive_breakdown`
+    breakdowns, equal to theirs field for field, from one merge of its
+    receive and one of its transmit airtime."""
+    checked = _checked_awake(awake, duration_s)
+    whole = _validate_intervals([(0.0, duration_s)], "awake")
+    rx = merge_intervals(rx_frames)
+    tx = merge_intervals(tx_frames)
+    return (
+        _integrate(checked, rx, tx, duration_s, wake_count, power),
+        _integrate(whole, rx, tx, duration_s, 0, power),
     )

@@ -9,6 +9,7 @@ exact pipeline of the paper's §4.1.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -235,6 +236,11 @@ def mixed(
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one experiment end to end and analyze it."""
+    # A scenario's nodes, interfaces and links point at each other, so
+    # only a full collection frees the previous run's; Simulator.run
+    # pauses the collector, so without this pass they would stay alive
+    # through the whole next run.
+    gc.collect()
     plan = config.faults
     scenario = build_scenario(
         ScenarioConfig(

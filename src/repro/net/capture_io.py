@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from repro.errors import SchedulingError, TraceError
 from repro.net.sniffer import FrameRecord

@@ -10,7 +10,7 @@ hears as a :class:`FrameRecord`. The energy analyzer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.net.medium import WirelessMedium
 from repro.net.node import Node

@@ -4,7 +4,7 @@ A small, deterministic, generator-based kernel in the style of SimPy:
 processes are Python generators that ``yield`` events; the
 :class:`~repro.sim.core.Simulator` advances virtual time along a binary
 heap of pending events. Determinism is guaranteed by a total event order
-``(time, priority, sequence-number)`` and by drawing all randomness from
+``(time, sequence-number)`` and by drawing all randomness from
 named, seeded streams (:class:`~repro.sim.random.RngStreams`).
 """
 

@@ -74,9 +74,14 @@ class Process(Event):
             else:
                 target = self._throw(trigger._value)
         except StopIteration as stop:
+            # Finished: drop the bound method that points back at this
+            # process, so reference counting frees it (no cycle left
+            # for the paused collector; see Simulator.run).
+            self._resume_cb = None
             self.succeed(stop.value)
             return
         except BaseException as exc:  # propagate real errors loudly
+            self._resume_cb = None
             self.fail(exc)
             raise
         if not isinstance(target, Event):

@@ -1,12 +1,10 @@
 """Unit tests for burst transmission and the marking protocol."""
 
-import pytest
-
 from repro.core.burster import Burster, MarkingController
 from repro.core.queues import ClientQueue
 from repro.core.schedule import BurstSlot
 from repro.net.addr import Endpoint
-from repro.net.packet import MSS, Packet
+from repro.net.packet import Packet
 from repro.net.tcp import TcpConnection, TcpListener
 from repro.net.udp import UdpSocket
 

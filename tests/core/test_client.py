@@ -9,7 +9,6 @@ from repro.core.scheduler import DynamicScheduler
 from repro.errors import SchedulingError
 from repro.experiments.scenarios import (
     ScenarioConfig,
-    VIDEO_SERVER_IP,
     build_scenario,
     client_ip,
 )

@@ -1,14 +1,11 @@
 """Failure injection and dynamic-membership tests for the core system."""
 
-import pytest
-
 from repro.core.bandwidth_model import calibrate
 from repro.core.client import PowerAwareClient
 from repro.core.delay_comp import AdaptiveCompensator
 from repro.core.scheduler import DynamicScheduler
 from repro.experiments.scenarios import (
     ScenarioConfig,
-    VIDEO_SERVER_IP,
     build_scenario,
     client_ip,
 )

@@ -6,7 +6,7 @@ import pytest
 from repro.core.bandwidth_model import calibrate
 from repro.core.client import PowerAwareClient
 from repro.core.delay_comp import AdaptiveCompensator
-from repro.core.schedule import BurstSlot, Schedule
+from repro.core.schedule import Schedule
 from repro.core.scheduler import DynamicScheduler
 from repro.experiments.scenarios import ScenarioConfig, build_scenario, client_ip
 from repro.net.addr import Endpoint

@@ -6,13 +6,11 @@ from repro.core.bandwidth_model import calibrate
 from repro.core.static_schedule import (
     StaticClient,
     StaticScheduler,
-    StaticSlot,
     build_layout,
 )
 from repro.errors import SchedulingError
 from repro.experiments.scenarios import (
     ScenarioConfig,
-    VIDEO_SERVER_IP,
     build_scenario,
     client_ip,
 )

@@ -1,7 +1,5 @@
 """Unit tests for the scenario builder."""
 
-import pytest
-
 from repro.experiments.scenarios import (
     ScenarioConfig,
     VIDEO_SERVER_IP,

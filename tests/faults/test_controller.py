@@ -14,7 +14,6 @@ from repro.faults import (
     ChurnEvent,
     ClockFaultSpec,
     DriftingCompensator,
-    FaultController,
     FaultPlan,
     GilbertElliottSpec,
     Window,

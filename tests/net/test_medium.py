@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.addr import BROADCAST_IP, Endpoint
+from repro.net.addr import Endpoint
 from repro.net.medium import MAX_BACKOFF_S
 from repro.net.node import Node
 from repro.net.packet import Packet

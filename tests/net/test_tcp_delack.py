@@ -1,7 +1,5 @@
 """Unit tests for the delayed-ACK policy."""
 
-import pytest
-
 from repro.net.addr import Endpoint
 from repro.net.packet import MSS, TcpFlags
 from repro.net.tcp import DELAYED_ACK_S, TcpConnection, TcpListener

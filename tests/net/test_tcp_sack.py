@@ -1,10 +1,9 @@
 """Unit tests for TCP SACK (RFC 2018 subset)."""
 
 import numpy as np
-import pytest
 
 from repro.net.addr import Endpoint
-from repro.net.packet import MSS, TcpFlags
+from repro.net.packet import MSS
 from repro.net.tcp import TcpConnection, TcpListener
 
 from tests.net.helpers import wire_pair

@@ -1,9 +1,12 @@
 """Unit tests for the simulation event loop and primitive events."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from repro.sim import core
 
 
 class TestSimulatorClock:
@@ -159,3 +162,108 @@ class TestConditions:
         sim.all_of([t1, t2]).add_callback(lambda e: values.append(dict(e.value)))
         sim.run()
         assert values[0] == {t1: "a", t2: "b"}
+
+
+@pytest.fixture
+def collector_on():
+    """The cyclic collector on at the start, and on again afterwards."""
+    was_on = gc.isenabled()
+    gc.enable()
+    yield
+    if was_on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _keeping(sim: Simulator, n: int) -> list:
+    """Schedules ten callbacks that together keep ``n`` new lists.
+
+    Each popped event frees tracked objects (its heap entry, timer cell
+    and closure), so a run adds to the collector's pending count only
+    if its callbacks keep more than that.
+    """
+    kept: list = []
+    for i in range(10):
+        sim.call_at(i * 0.001, lambda: kept.extend([] for _ in range(n // 10)))
+    return kept
+
+
+class _CollectorSpy:
+    """Stands in for the ``gc`` module and records what is asked of it."""
+
+    def __init__(self) -> None:
+        self.asked: list[str] = []
+
+    def __getattr__(self, name):
+        self.asked.append(name)
+        return getattr(gc, name)
+
+
+@pytest.mark.usefixtures("collector_on")
+class TestCollector:
+    """``Simulator.run`` pauses the cyclic collector and hands it back
+    as it found it."""
+
+    def test_on_after_a_run_to_the_end(self):
+        sim = Simulator()
+        _keeping(sim, 10)
+        sim.run()
+        assert gc.isenabled()
+
+    def test_on_after_a_run_until(self):
+        sim = Simulator()
+        _keeping(sim, 10)
+        sim.run(until=0.005)
+        assert gc.isenabled()
+        assert sim.now == 0.005
+
+    def test_on_after_a_callback_raises(self):
+        sim = Simulator()
+
+        def fail() -> None:
+            raise ValueError("boom")
+
+        sim.call_at(1.0, fail)
+        with pytest.raises(ValueError):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_off_during_the_run(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False]
+
+    def test_left_off_and_uncollected_if_the_caller_turned_it_off(self):
+        gc.disable()
+        sim = Simulator()
+        kept = _keeping(sim, 3000)
+        sim.run()
+        pending = gc.get_count()[0]
+        assert not gc.isenabled()
+        assert len(kept) == 3000
+        # No young pass ran: the run's allocations are still pending.
+        assert pending > 2000
+
+    def test_young_generation_collected_on_return(self):
+        sim = Simulator()
+        kept = _keeping(sim, 3000)
+        sim.run()
+        # Read before anything allocates: without the pass on return,
+        # the 3000 lists would still be pending, far past the
+        # collector's threshold of 700, and paid at the next allocation.
+        pending = gc.get_count()[0]
+        assert len(kept) == 3000
+        assert pending < 700
+
+    def test_step_does_not_touch_the_collector(self, monkeypatch):
+        spy = _CollectorSpy()
+        monkeypatch.setattr(core, "gc", spy)
+        sim = Simulator()
+        _keeping(sim, 2)
+        sim.step()
+        assert spy.asked == []
+        sim.run()
+        assert "disable" in spy.asked

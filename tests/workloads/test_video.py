@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.addr import Endpoint
 from repro.net.udp import UdpSocket
-from repro.sim import RngStreams, Simulator
+from repro.sim import RngStreams
 from repro.units import kbps
 from repro.workloads.video import (
     EFFECTIVE_BITRATE_BPS,
