@@ -14,8 +14,9 @@ Reads the monitoring station's capture after a run and produces one
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from repro.energy.model import client_breakdowns
@@ -35,19 +36,24 @@ class _FrameIndex:
     """One-pass per-client index over the capture.
 
     Built lazily on first query; turns every per-client selector from an
-    O(total frames) scan into a dict lookup. Positions are capture
-    indices so unicast and broadcast interval lists can be re-merged in
-    original capture order.
+    O(total frames) scan into a dict lookup. Broadcasts are also split
+    by cell once, so a roaming client's share is one slice per
+    residency step.
     """
 
-    #: dst ip → [(position, start, end)] for unicast frames.
-    unicast_rx: dict[str, list[tuple[int, float, float]]] = field(
+    #: dst ip → [(start, end)] for unicast frames.
+    unicast_rx: dict[str, list[tuple[float, float]]] = field(
         default_factory=dict
     )
-    #: [(position, start, end, cell)] for broadcast frames.
-    broadcasts: list[tuple[int, float, float, str]] = field(
-        default_factory=list
-    )
+    #: [(start, end)] of every broadcast frame.
+    broadcasts: list[tuple[float, float]] = field(default_factory=list)
+    #: [(start, end)] of broadcast frames without a cell label.
+    unlabeled: list[tuple[float, float]] = field(default_factory=list)
+    #: cell label → (starts, [(start, end)]) of the cell's broadcast
+    #: frames, sorted by start.
+    cell_broadcasts: dict[
+        str, tuple[list[float], list[tuple[float, float]]]
+    ] = field(default_factory=dict)
     #: src ip → [(start, end)].
     tx: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     #: dst ip → unicast data frames (payload > 0).
@@ -93,72 +99,68 @@ class EnergyAnalyzer:
         if self._index is not None:
             return self._index
         index = _FrameIndex()
-        for position, frame in enumerate(self.frames):
+        by_cell: dict[str, list[tuple[float, float]]] = {}
+        for frame in self.frames:
+            airtime = (frame.start, frame.end)
             if frame.broadcast:
-                index.broadcasts.append(
-                    (position, frame.start, frame.end, frame.cell)
-                )
+                index.broadcasts.append(airtime)
+                if frame.cell:
+                    by_cell.setdefault(frame.cell, []).append(airtime)
+                else:
+                    index.unlabeled.append(airtime)
             else:
-                index.unicast_rx.setdefault(frame.dst_ip, []).append(
-                    (position, frame.start, frame.end)
-                )
+                index.unicast_rx.setdefault(frame.dst_ip, []).append(airtime)
                 if frame.payload_size > 0:
                     index.data_frames.setdefault(frame.dst_ip, []).append(
                         frame
                     )
-            index.tx.setdefault(frame.src_ip, []).append(
-                (frame.start, frame.end)
-            )
+            index.tx.setdefault(frame.src_ip, []).append(airtime)
             index.sent_payload[frame.src_ip] = (
                 index.sent_payload.get(frame.src_ip, 0) + frame.payload_size
+            )
+        for cell, airtimes in by_cell.items():
+            airtimes.sort(key=itemgetter(0))
+            index.cell_broadcasts[cell] = (
+                [start for start, _ in airtimes], airtimes
             )
         for dst_ip, payload in self.misses:
             index.missed_payloads.setdefault(dst_ip, []).append(payload)
         self._index = index
         return index
 
-    def _broadcasts_heard(
-        self, ip: str
-    ) -> list[tuple[int, float, float, str]]:
-        """Broadcast frames attributable to ``ip``'s radio."""
-        broadcasts = self._ensure_index().broadcasts
-        if self.residency is None:
-            return broadcasts
-        timeline = self.residency.get(ip)
+    def _broadcasts_heard(self, ip: str) -> list[tuple[float, float]]:
+        """Airtime of the broadcast frames ``ip``'s radio hears: every
+        unlabeled one, and each labeled one whose start falls in a
+        residency step in the frame's cell. A frame that starts before
+        the first step counts in the first step; one that starts exactly
+        at a roam counts in the step that roam begins."""
+        index = self._ensure_index()
+        timeline = None if self.residency is None else self.residency.get(ip)
         if timeline is None:
-            return broadcasts
-        times = [at for at, _ in timeline]
-        heard = []
-        for record in broadcasts:
-            cell = record[3]
-            if cell:
-                step = max(0, bisect_right(times, record[1]) - 1)
-                if timeline[step][1] != cell:
-                    continue
-            heard.append(record)
+            return index.broadcasts
+        heard = list(index.unlabeled)
+        last = len(timeline) - 1
+        for step, (at, cell) in enumerate(timeline):
+            split = index.cell_broadcasts.get(cell)
+            if split is None:
+                continue
+            starts, airtimes = split
+            lo = bisect_left(starts, at) if step else 0
+            hi = (
+                bisect_left(starts, timeline[step + 1][0])
+                if step < last
+                else len(starts)
+            )
+            heard += airtimes[lo:hi]
         return heard
 
     # -- frame selection ---------------------------------------------------
 
     def rx_intervals(self, ip: str) -> list[tuple[float, float]]:
-        """Airtime of frames the client's radio would decode (unicast to
-        it plus broadcasts), in capture order."""
-        unicast = self._ensure_index().unicast_rx.get(ip, [])
-        broadcasts = self._broadcasts_heard(ip)
-        merged: list[tuple[float, float]] = []
-        i = j = 0
-        while i < len(unicast) and j < len(broadcasts):
-            if unicast[i][0] < broadcasts[j][0]:
-                merged.append((unicast[i][1], unicast[i][2]))
-                i += 1
-            else:
-                merged.append((broadcasts[j][1], broadcasts[j][2]))
-                j += 1
-        merged.extend((start, end) for _, start, end in unicast[i:])
-        merged.extend(
-            (start, end) for _, start, end, _cell in broadcasts[j:]
-        )
-        return merged
+        """Airtime of frames the client's radio would decode: unicast to
+        it, then the broadcasts it hears."""
+        index = self._ensure_index()
+        return index.unicast_rx.get(ip, []) + self._broadcasts_heard(ip)
 
     def tx_intervals(self, ip: str) -> list[tuple[float, float]]:
         """Airtime of frames transmitted by the client."""

@@ -38,7 +38,6 @@ from repro.net.addr import Endpoint
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.sniffer import FrameRecord
-from repro.obs.recorder import SimRecorder
 from repro.sim import Simulator
 from repro.wnic.power import PowerModel
 from repro.wnic.states import Wnic
@@ -89,11 +88,10 @@ def replay_policy(
     horizon = duration_s if duration_s is not None else frames[-1].end + 0.001
 
     sim = Simulator()
-    recorder = SimRecorder()
-    node = Node(sim, f"replay-{client_ip}", client_ip, obs=recorder)
+    node = Node(sim, f"replay-{client_ip}", client_ip)
     node.add_interface("wl0")
-    wnic = Wnic(sim, node.name, obs=recorder)
-    daemon = PowerAwareClient(node, wnic, compensator, obs=recorder)
+    wnic = Wnic(sim, node.name)
+    daemon = PowerAwareClient(node, wnic, compensator)
 
     delivered = {"n": 0}
     missed = {"n": 0}

@@ -22,7 +22,7 @@ from repro.errors import ConfigurationError, SweepExecutionError
 from repro.sweep.cache import ResultCache, run_key
 from repro.sweep.pool import chunk_runs, shared_pool
 from repro.sweep.spec import RunSpec, SweepSpec
-from repro.sweep.tasks import resolve_task, sanitize_result, task_targets
+from repro.sweep.tasks import resolve_task, task_targets
 
 
 @dataclass
@@ -109,14 +109,17 @@ class SweepOutcome:
 def _execute_run(task: str, params: dict) -> tuple[bool, Any]:
     """Worker entry: run one task, never raise across the boundary.
 
-    Returns ``(ok, payload)`` where payload is the sanitized result or
-    a formatted traceback string. Exceptions must not cross process
-    boundaries raw — some are unpicklable, and one bad run must not
-    take down the pool (per-run failure isolation).
+    Returns ``(ok, payload)`` where payload is the task's result, as
+    it returned it, or a formatted traceback string. A swept
+    experiment runs unobserved (see :mod:`repro.sweep.tasks`), so its
+    result carries no recorder across the process or cache boundary.
+    Exceptions must not cross process boundaries raw — some are
+    unpicklable, and one bad run must not take down the pool (per-run
+    failure isolation).
     """
     try:
         fn = resolve_task(task)
-        return True, sanitize_result(fn(**params))
+        return True, fn(**params)
     except Exception:  # repro: noqa[ERR002] -- isolation: the traceback crosses the process boundary as data and is re-raised by the engine
         return False, traceback.format_exc()
 

@@ -88,7 +88,8 @@ class SweepSpec:
         labels: Optional[Sequence[Mapping[str, Any]]] = None,
     ) -> "SweepSpec":
         """One :func:`~repro.experiments.runner.run_experiment` per
-        ``ExperimentConfig``, in the given order."""
+        ``ExperimentConfig``, in the given order, each run unobserved
+        (see :mod:`repro.sweep.tasks`)."""
         return cls.from_tasks(
             name,
             EXPERIMENT_TASK,

@@ -10,10 +10,18 @@ orchestrates without import cycles.
 Every task function must be a module-level callable whose keyword
 parameters are canonicalizable (see :mod:`repro.sweep.canonical`) and
 whose return value pickles cleanly.
+
+A swept experiment records nothing it does not return: ``experiment``
+runs its config with ``obs_mode="off"``, so its result carries the
+shared ``NULL_RECORDER`` and no metrics snapshot. Every figure, table
+and claim reads only the energy reports and counters, which no obs mode
+changes; ``repro run`` and ``repro trace`` call ``run_experiment``
+directly when a trace or metrics export is wanted.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 from typing import Any, Callable, Optional
 
@@ -21,7 +29,7 @@ from repro.errors import SweepError
 
 #: task name -> "module:qualname" of the callable to invoke.
 _TASKS: dict[str, str] = {
-    "experiment": "repro.experiments.runner:run_experiment",
+    "experiment": "repro.sweep.tasks:_experiment",
     "psm-baseline": "repro.experiments.baselines:_run_one",
     "dummynet-transfer": "repro.experiments.tables:_dummynet_transfer",
     "replay-early": "repro.sweep.tasks:_replay_early",
@@ -77,24 +85,19 @@ def resolve_task(name: str) -> Callable[..., Any]:
     return fn
 
 
-def sanitize_result(result: Any) -> Any:
-    """Make a task result cache/IPC-safe.
+def _experiment(config: Any) -> Any:
+    """Run one :class:`~repro.experiments.runner.ExperimentConfig`
+    unobserved.
 
-    ``ExperimentResult`` carries the run's live :class:`~repro.obs`
-    recorder for postmortem timeline export; that stream is neither
-    needed by any driver row nor cheap to pickle, so transported
-    results carry the shared ``NULL_RECORDER`` instead (the metrics
-    snapshot dict — plain data — stays). Everything else passes
-    through untouched.
+    The result's ``config`` says so (``obs_mode="off"``); its reports,
+    summaries and counters are what the config reports in its own
+    mode, since no obs mode changes them. The runner is looked up on
+    its module at call time, so a wrapper installed there (a
+    profiler's, a test's) sees every swept run.
     """
-    import dataclasses
+    from repro.experiments import runner
 
-    from repro.experiments.runner import ExperimentResult
-    from repro.obs import NULL_RECORDER
-
-    if isinstance(result, ExperimentResult):
-        return dataclasses.replace(result, obs=NULL_RECORDER)
-    return result
+    return runner.run_experiment(dataclasses.replace(config, obs_mode="off"))
 
 
 def _policy_model(

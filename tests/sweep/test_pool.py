@@ -45,7 +45,7 @@ class TestChunkRuns:
 class TestTaskTargets:
     def test_returns_registered_targets(self):
         targets = task_targets({"experiment"})
-        assert targets == {"experiment": "repro.experiments.runner:run_experiment"}
+        assert targets == {"experiment": "repro.sweep.tasks:_experiment"}
 
     def test_unknown_name_fails_in_the_parent(self):
         with pytest.raises(SweepError, match="unknown sweep task"):
