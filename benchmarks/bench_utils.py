@@ -5,12 +5,15 @@ under ``benchmarks/results/`` so EXPERIMENTS.md can be regenerated and
 diffed without re-running the sweeps. :func:`check_claims` asserts the
 bounds of the rows' entry in :mod:`repro.experiments.claims`.
 
-Two files per benchmark:
+Two kinds of file:
 
 * ``<name>.json`` — the latest rows (overwritten each run; what the
-  report generator reads);
+  report generator reads), written by every benchmark;
 * ``BENCH_<name>.json`` — the *trajectory*: one timestamped entry
-  appended per run, so perf/behaviour drift is visible across commits.
+  appended per run, so timing drift is visible across commits. Only
+  the timing benchmarks, whose rows change from run to run, keep one;
+  a deterministic benchmark's rows are already tracked by its rows
+  file, so a run that reproduces them leaves the checkout clean.
 """
 
 from __future__ import annotations
@@ -26,15 +29,11 @@ from repro.experiments.report_gen import claims_table, format_cell
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def save_results(
-    name: str, rows: Any, meta: Optional[dict] = None
-) -> pathlib.Path:
-    """Persist ``rows`` (list/dict) as benchmarks/results/<name>.json
-    and append a timestamped entry to the BENCH_<name>.json trajectory."""
+def save_results(name: str, rows: Any) -> pathlib.Path:
+    """Persist ``rows`` (list/dict) as benchmarks/results/<name>.json."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(json.dumps(rows, indent=2, default=str) + "\n")
-    append_trajectory(name, rows, meta)
     return path
 
 
@@ -59,32 +58,6 @@ def append_trajectory(
     history.append(entry)
     path.write_text(json.dumps(history, indent=2, default=str) + "\n")
     return path
-
-
-def load_trajectory(name: str) -> list[dict]:
-    """Read benchmarks/results/BENCH_<name>.json, tolerating absence.
-
-    A missing or unreadable trajectory is a fresh checkout or a
-    never-seeded benchmark, not an error: print why we're skipping the
-    comparison and return an empty history so callers can guard with
-    a simple truthiness check.
-    """
-    path = RESULTS_DIR / f"BENCH_{name}.json"
-    try:
-        history = json.loads(path.read_text())
-    except FileNotFoundError:
-        print(
-            f"no trajectory at {path} — skipping cross-run comparison "
-            f"(first run seeds it)"
-        )
-        return []
-    except json.JSONDecodeError as exc:
-        print(
-            f"unreadable trajectory at {path} ({exc}) — skipping "
-            f"cross-run comparison"
-        )
-        return []
-    return history if isinstance(history, list) else []
 
 
 def print_table(title: str, rows: list[dict], columns: Sequence[str]) -> None:

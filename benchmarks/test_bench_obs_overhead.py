@@ -16,7 +16,7 @@ import time
 
 from repro.experiments.runner import run_experiment, video_only
 
-from benchmarks.bench_utils import print_table, save_results
+from benchmarks.bench_utils import append_trajectory, print_table, save_results
 
 REPS = 3
 COLUMNS = [
@@ -58,7 +58,8 @@ def test_bench_obs_overhead():
             "full_overhead_pct": round(full_overhead_pct, 2),
         }
     ]
-    save_results(
+    save_results("obs_overhead", rows)
+    append_trajectory(
         "obs_overhead",
         rows,
         meta={

@@ -26,7 +26,12 @@ from repro.experiments.figures import figure4
 from repro.sweep import ResultCache, SweepEngine
 from repro.sweep.cache import code_fingerprint
 
-from benchmarks.bench_utils import RESULTS_DIR, print_table, save_results
+from benchmarks.bench_utils import (
+    RESULTS_DIR,
+    append_trajectory,
+    print_table,
+    save_results,
+)
 
 COLUMNS = [
     "mode", "jobs", "wall_s", "executed", "cache_hits", "speedup_vs_cold",
@@ -90,7 +95,8 @@ def test_bench_sweep(tmp_path):
             "cpus": cpus, "fingerprint": fingerprint,
         },
     ]
-    save_results("sweep", rows, meta={"cpus": cpus, "serial_s": serial_s})
+    save_results("sweep", rows)
+    append_trajectory("sweep", rows, meta={"cpus": cpus, "serial_s": serial_s})
     print_table("Sweep orchestration — figure-4 grid (quick)", rows, COLUMNS)
 
     # Schema gate: every trajectory entry — including backfilled

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.campus.topology import HandoffSpec
 from repro.errors import ConfigurationError
 from repro.faults.counters import FaultCounters
-from repro.obs.recorder import NullRecorder, Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.scheduler import DynamicScheduler
@@ -107,7 +107,7 @@ class HandoffCoordinator:
         self.uplinks = uplinks
         self.client_ifaces = client_ifaces
         self.spec = spec
-        self.obs = obs if obs is not None else NullRecorder()
+        self.obs = obs if obs is not None else NULL_RECORDER
         self.counters = counters if counters is not None else FaultCounters()
         self._gap = _DetachedRadio(self)
         #: Supersession guard: a second roam during the radio gap

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.campus.topology import MOBILITY_STREAM_PREFIX, MobilityPlan
 from repro.errors import ConfigurationError
-from repro.obs.recorder import NullRecorder, Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -50,7 +50,7 @@ class MobilityModel:
         self.sim = sim
         self.plan = plan
         self.n_cells = n_cells
-        self.obs = obs if obs is not None else NullRecorder()
+        self.obs = obs if obs is not None else NULL_RECORDER
         self._on_roam = on_roam
         #: Clients in fixed index order — the per-epoch visit order.
         self._client_ips = list(client_ips)

@@ -234,7 +234,7 @@ def build_engine(args):
     from repro.sweep import ResultCache, SweepEngine
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    return SweepEngine(jobs=args.jobs, cache=cache, retries=args.retries)
+    return SweepEngine(jobs=args.jobs, cache=cache)
 
 
 def _print_engine_summary(engine, as_json: bool) -> None:
@@ -420,21 +420,24 @@ def cmd_sweep(args) -> int:
         reuse_schedules=args.reuse,
     )
     intervals = [parse_interval(text) for text in args.intervals.split(",")]
-    spec = SweepSpec.grid(
-        args.name,
-        base,
-        axes={"burst_interval_s": intervals},
-        seeds=parse_seeds(args.seeds),
-    )
+    seeds = parse_seeds(args.seeds)
+    cells = [(interval, seed) for interval in intervals for seed in seeds]
     engine = build_engine(args)
-    outcome = engine.run(spec)
+    outcome = engine.run(
+        SweepSpec.experiments(
+            args.name,
+            [
+                dataclasses.replace(base, burst_interval_s=interval, seed=seed)
+                for interval, seed in cells
+            ],
+        )
+    )
     rows = []
-    for run, result in zip(spec.runs, outcome.results):
-        interval = run.label["burst_interval_s"]
+    for (interval, seed), result in zip(cells, outcome.results):
         rows.append(
             {
                 "interval": "variable" if interval is None else interval,
-                "seed": run.label["seed"],
+                "seed": seed,
                 "avg_saved_pct": result.summary.avg_saved_pct,
                 "min_saved_pct": result.summary.min_saved_pct,
                 "max_saved_pct": result.summary.max_saved_pct,
@@ -716,10 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         executor.add_argument(
             "--no-cache", action="store_true",
             help="always re-run; neither read nor write the cache",
-        )
-        executor.add_argument(
-            "--retries", type=int, default=1, metavar="N",
-            help="extra attempts per failing run before giving up",
         )
 
     run = sub.add_parser("run", help="run one experiment")

@@ -30,7 +30,7 @@ if TYPE_CHECKING:
     from repro.sweep import SweepEngine
 
 from repro.core.client import PowerAwareClient
-from repro.core.delay_comp import DelayCompensator
+from repro.core.delay_comp import AdaptiveCompensator, DelayCompensator
 from repro.energy.analyzer import EnergyAnalyzer
 from repro.energy.report import ClientReport
 from repro.errors import TraceError
@@ -140,6 +140,27 @@ def replay_policy(
     )
 
 
+def _replay_early(
+    frames: Sequence[FrameRecord],
+    client_ip: str,
+    power: PowerModel,
+    early_s: float,
+    duration_s: Optional[float] = None,
+) -> ReplayResult:
+    """Replay one early-transition amount over a recorded capture.
+
+    The adaptive compensator is built *inside* the task so the sweep
+    parameters stay declarative (no callables in the cache key).
+    """
+    return replay_policy(
+        frames,
+        client_ip,
+        AdaptiveCompensator(early_s=early_s),
+        power,
+        duration_s=duration_s,
+    )
+
+
 def sweep_early_amounts(
     frames: Sequence[FrameRecord],
     client_ip: str,
@@ -151,8 +172,8 @@ def sweep_early_amounts(
     """Figure 6 from one capture: replay several early amounts.
 
     The adaptive-compensator sweep fans out through the sweep engine
-    (task ``replay-early``), so replays cache and parallelize like live
-    experiments.
+    (task :func:`_replay_early`), so replays cache and parallelize like
+    live experiments.
     """
     from repro.sweep import SweepEngine, SweepSpec
 
@@ -162,7 +183,7 @@ def sweep_early_amounts(
     outcome = engine.run(
         SweepSpec.from_tasks(
             "replay_early_sweep",
-            "replay-early",
+            _replay_early,
             [
                 {
                     "frames": frame_list,
@@ -173,7 +194,6 @@ def sweep_early_amounts(
                 }
                 for early in early_amounts_s
             ],
-            labels=[{"early_s": early} for early in early_amounts_s],
         )
     )
     return list(zip(early_amounts_s, outcome.results))

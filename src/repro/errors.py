@@ -65,4 +65,4 @@ class SweepError(ReproError):
 
 
 class SweepExecutionError(SweepError):
-    """One or more sweep runs failed after exhausting their retries."""
+    """One or more sweep runs failed (raised, or lost their worker)."""

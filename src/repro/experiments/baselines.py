@@ -8,7 +8,7 @@ power-aware client behind the scheduling proxy, (c) a naive always-on
 client — measuring energy saved *and* per-packet delivery latency.
 
 The three policy runs fan out through the sweep engine (task
-``psm-baseline``), so they cache and parallelize like every other
+:func:`_run_one`), so they cache and parallelize like every other
 driver; ``SWP001`` keeps it that way.
 """
 
@@ -136,7 +136,7 @@ def psm_comparison(
     outcome = engine.run(
         SweepSpec.from_tasks(
             "psm_comparison",
-            "psm-baseline",
+            _run_one,
             [
                 {
                     "policy": policy,
@@ -146,7 +146,6 @@ def psm_comparison(
                 }
                 for policy in policies
             ],
-            labels=[{"policy": policy} for policy in policies],
         )
     )
     return [

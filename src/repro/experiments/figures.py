@@ -17,7 +17,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.policy import POLICY_NAMES
+from repro.core.policy import (
+    POLICY_NAMES,
+    make_policy,
+    random_instance,
+    rollout,
+)
+from repro.energy.optimal import dp_optimal
 from repro.errors import ConfigurationError
 from repro.experiments.runner import (
     ClientSpec,
@@ -84,7 +90,7 @@ def figure4(
             )
             labels.append({"interval": interval_label, "pattern": pattern_label})
     outcome = _engine(engine).run(
-        SweepSpec.experiments("figure4", configs, labels)
+        SweepSpec.experiments("figure4", configs)
     )
     rows = []
     for label, result in zip(labels, outcome.results):
@@ -126,7 +132,7 @@ def figure5(
             )
             labels.append({"interval": interval_label, "pattern": pattern_label})
     outcome = _engine(engine).run(
-        SweepSpec.experiments("figure5", configs, labels)
+        SweepSpec.experiments("figure5", configs)
     )
     rows = []
     for label, result in zip(labels, outcome.results):
@@ -172,7 +178,7 @@ def figure6(
     ]
     labels = [{"early_ms": early_ms} for early_ms in FIGURE6_EARLY_MS]
     outcome = _engine(engine).run(
-        SweepSpec.experiments("figure6", configs, labels)
+        SweepSpec.experiments("figure6", configs)
     )
     rows = []
     for label, result in zip(labels, outcome.results):
@@ -224,7 +230,7 @@ def figure7(
     ]
     labels = [{"tcp_weight": weight} for weight in FIGURE7_TCP_WEIGHTS]
     outcome = _engine(engine).run(
-        SweepSpec.experiments("figure7", configs, labels)
+        SweepSpec.experiments("figure7", configs)
     )
     rows = []
     for config, label, result in zip(configs, labels, outcome.results):
@@ -259,6 +265,50 @@ def figure7(
 PARETO_CHANNEL = ChannelPlan(
     p_good_bad=0.15, p_bad_good=0.35, loss_bad=0.85, epoch_s=0.25
 )
+
+
+def _policy_model(
+    policy: str,
+    seed: int = 0,
+    n_instances: int = 32,
+    n_clients: int = 3,
+    horizon: int = 8,
+) -> dict:
+    """Average one policy over random discrete (queue, channel) instances.
+
+    ``policy`` is a :data:`~repro.core.policy.POLICY_NAMES` member run
+    online via :func:`~repro.core.policy.rollout`, or ``"optimal"`` for
+    the clairvoyant DP oracle of :func:`~repro.energy.optimal.dp_optimal`
+    — the model-side rows of the Pareto figure, each policy with
+    :func:`~repro.core.policy.make_policy`'s defaults. Instances are seeded
+    ``seed .. seed + n_instances - 1``, so the same parameters always
+    average the same instance population.
+    """
+    total = energy = delay = 0.0
+    served = arrived = 0
+    for i in range(n_instances):
+        instance = random_instance(
+            seed + i, n_clients=n_clients, horizon=horizon
+        )
+        if policy == "optimal":
+            outcome = dp_optimal(instance).outcome
+        else:
+            outcome = rollout(instance, make_policy(policy))
+        total += outcome.total_cost
+        energy += outcome.energy_cost
+        delay += outcome.mean_delay_slots
+        served += outcome.served
+        arrived += outcome.arrived
+    n = float(n_instances)
+    return {
+        "policy": policy,
+        "n_instances": n_instances,
+        "mean_total_cost": total / n,
+        "mean_energy_cost": energy / n,
+        "mean_delay_slots": delay / n,
+        "served": served,
+        "arrived": arrived,
+    }
 
 
 def pareto(
@@ -304,7 +354,7 @@ def pareto(
     ]
     labels = [{"policy": policy} for policy in policies]
     outcome = _engine(engine).run(
-        SweepSpec.experiments("pareto", configs, labels)
+        SweepSpec.experiments("pareto", configs)
     )
     rows = []
     for label, result in zip(labels, outcome.results):
@@ -333,18 +383,15 @@ def pareto(
         }
         for policy in model_policies
     ]
-    model_labels = [{"policy": policy} for policy in model_policies]
     model_outcome = _engine(engine).run(
-        SweepSpec.from_tasks(
-            "pareto-model", "policy-model", params, model_labels
-        )
+        SweepSpec.from_tasks("pareto-model", _policy_model, params)
     )
-    for label, result in zip(model_labels, model_outcome.results):
+    for policy, result in zip(model_policies, model_outcome.results):
         rows.append(
             {
                 "figure": "pareto",
                 "source": "model",
-                "policy": label["policy"],
+                "policy": policy,
                 "mean_total_cost": result["mean_total_cost"],
                 "mean_energy_cost": result["mean_energy_cost"],
                 "mean_delay_slots": result["mean_delay_slots"],
@@ -395,7 +442,7 @@ def campus_grid(
             )
             labels.append({"cells": n_cells, "roam_rate": roam_rate})
     outcome = _engine(engine).run(
-        SweepSpec.experiments("campus", configs, labels)
+        SweepSpec.experiments("campus", configs)
     )
     rows = []
     for label, result in zip(labels, outcome.results):

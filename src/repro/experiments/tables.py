@@ -57,7 +57,7 @@ def tcp_only(
     ]
     labels = [{"interval": label} for label, _ in intervals]
     outcome = _engine(engine).run(
-        SweepSpec.experiments("tcp_only", configs, labels)
+        SweepSpec.experiments("tcp_only", configs)
     )
     return [
         {
@@ -102,7 +102,7 @@ def optimal_comparison(
         for rate in rates
     ]
     outcome = _engine(engine).run(
-        SweepSpec.experiments("optimal_comparison", configs, labels)
+        SweepSpec.experiments("optimal_comparison", configs)
     )
     rows = []
     for label, result in zip(labels, outcome.results):
@@ -151,7 +151,7 @@ def static_vs_dynamic(
         for scheduler in schedulers
     ]
     outcome = _engine(engine).run(
-        SweepSpec.experiments("static_vs_dynamic", configs, labels)
+        SweepSpec.experiments("static_vs_dynamic", configs)
     )
     by_cell = {
         (label["rate"], label["scheduler"]): result
@@ -216,7 +216,7 @@ def drop_effect_netfilter(
             )
             labels.append({"setup": label_cfg, "gate": gate_label})
     outcome = _engine(engine).run(
-        SweepSpec.experiments("drop_effect_netfilter", configs, labels)
+        SweepSpec.experiments("drop_effect_netfilter", configs)
     )
     times: dict[str, dict[str, Optional[float]]] = {}
     for label, result in zip(labels, outcome.results):
@@ -247,8 +247,7 @@ def _dummynet_transfer(
     """One TCP transfer over a 4 Mb/s DummyNet pipe; returns the
     completion time (or +inf when it never finishes).
 
-    Module-level so the sweep engine can address it as the
-    ``dummynet-transfer`` task from worker processes.
+    Module-level so the sweep engine can send it to worker processes.
     """
     sim = Simulator()
     rng = RngStreams(seed=seed).get("dummynet")
@@ -285,12 +284,11 @@ def drop_effect_dummynet(
     outcome = _engine(engine).run(
         SweepSpec.from_tasks(
             "drop_effect_dummynet",
-            "dummynet-transfer",
+            _dummynet_transfer,
             [
                 {"seed": seed, "transfer_bytes": transfer_bytes, "plr": plr}
                 for plr in rates
             ],
-            labels=[{"plr": plr} for plr in rates],
         )
     )
     clean, lossy = outcome.results
@@ -344,7 +342,7 @@ def schedule_reuse(
     ]
     labels = [{"reuse": reuse} for reuse in variants]
     outcome = _engine(engine).run(
-        SweepSpec.experiments("schedule_reuse", configs, labels)
+        SweepSpec.experiments("schedule_reuse", configs)
     )
     return [
         {
@@ -392,7 +390,7 @@ def compensator_ablation(
     ]
     labels = [{"variant": label} for label, _, _ in variants]
     outcome = _engine(engine).run(
-        SweepSpec.experiments("compensator_ablation", configs, labels)
+        SweepSpec.experiments("compensator_ablation", configs)
     )
     return [
         {
@@ -438,7 +436,7 @@ def split_connection_ablation(
     ]
     labels = [{"mode": mode} for mode in modes]
     outcome = _engine(engine).run(
-        SweepSpec.experiments("split_ablation", configs, labels)
+        SweepSpec.experiments("split_ablation", configs)
     )
     rows = []
     for label, result in zip(labels, outcome.results):

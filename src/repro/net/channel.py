@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError
 from repro.faults.injectors import GilbertElliottChain
 from repro.faults.plan import GilbertElliottSpec
 from repro.net.packet import Packet
-from repro.obs.recorder import NullRecorder, Recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.units import ms
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -120,7 +120,7 @@ class ChannelModel:
         if not client_ips:
             raise ConfigurationError("channel model needs at least one client")
         self.plan = plan
-        self.obs = obs if obs is not None else NullRecorder()
+        self.obs = obs if obs is not None else NULL_RECORDER
         self._clients: dict[str, _ClientChannel] = {}
         for ip in client_ips:
             chain = GilbertElliottChain(

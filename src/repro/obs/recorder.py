@@ -226,7 +226,15 @@ class Recorder:
 
 
 class NullRecorder(Recorder):
-    """Discards everything; all hooks are no-ops."""
+    """Discards everything; all hooks are no-ops.
+
+    Stateless, so one instance serves every caller: it pickles by
+    reference to :data:`NULL_RECORDER`, and a result that crosses a
+    process or cache boundary unpickles with the shared instance.
+    """
+
+    def __reduce__(self) -> str:
+        return "NULL_RECORDER"
 
 
 #: Shared stateless no-op instance (safe to reuse everywhere).

@@ -4,19 +4,20 @@ Every multi-run artifact in the repo (paper figures, tables, the PSM
 baseline, the postmortem replay sweep) runs through this subsystem:
 
 * :class:`~repro.sweep.spec.SweepSpec` — a declarative, ordered run
-  list (parameter grids × seed replications over ``ExperimentConfig``,
-  or arbitrary registered tasks);
+  list of ``ExperimentConfig`` runs, or of parameter dicts for any
+  module-level task function;
 * :class:`~repro.sweep.cache.ResultCache` — a content-addressed on-disk
-  result store keyed by SHA-256(task, canonical params JSON, code
-  fingerprint), so repeated figure/table/report invocations are
-  warm-cache instant;
+  result store keyed by SHA-256(task ``module:qualname``, canonical
+  params JSON, code fingerprint), so repeated figure/table/report
+  invocations are warm-cache instant;
 * :class:`~repro.sweep.engine.SweepEngine` — serial (``jobs=1``) or
   warm-pool execution (:mod:`repro.sweep.pool`: persistent preloaded
-  workers, chunked dispatch) with per-run failure isolation and
-  bounded retries; aggregated output is ordered by spec index and
-  byte-identical to the serial path;
+  workers, chunked dispatch) with per-run failure isolation; a failed
+  run is not retried, and a rerun resumes from the cache. Aggregated
+  output is ordered by spec index and byte-identical to the serial
+  path;
 * :class:`~repro.sweep.engine.ExecutionReport` — cache hits/misses,
-  retries, per-run wall time, surfaced through the ``repro sweep``,
+  failures, per-run wall time, surfaced through the ``repro sweep``,
   ``figure``, ``table`` and ``report`` CLI commands.
 
 See DESIGN.md §10 for the cache-key derivation and the determinism
@@ -33,7 +34,6 @@ from repro.sweep.engine import (
 )
 from repro.sweep.pool import WarmPool, shared_pool
 from repro.sweep.spec import RunSpec, SweepSpec
-from repro.sweep.tasks import register_task, resolve_task, task_targets
 
 __all__ = [
     "ExecutionReport",
@@ -47,9 +47,6 @@ __all__ = [
     "canonical_json",
     "canonical_value",
     "code_fingerprint",
-    "register_task",
-    "resolve_task",
     "run_key",
     "shared_pool",
-    "task_targets",
 ]

@@ -2,7 +2,8 @@
 
 A run is identified by the SHA-256 of
 
-* the registered task name (e.g. ``"experiment"``),
+* the task function's ``module:qualname`` (e.g.
+  ``"repro.sweep.spec:_experiment"``),
 * the canonical JSON of its parameters (config + seed live there), and
 * a fingerprint of the ``repro`` package's source code,
 

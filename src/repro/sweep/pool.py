@@ -4,23 +4,22 @@ The engine used to build a fresh ``ProcessPoolExecutor`` per sweep, so
 every invocation paid worker startup plus the ``repro`` import graph
 before its first run — on the quick grids that overhead swamped the
 simulations and made ``--jobs 2`` *slower* than serial. The warm pool
-fixes the three cost centers:
+fixes both cost centers:
 
 * **persistence** — one pool per process, created on first parallel
-  sweep and reused by every later one (shut down at interpreter exit);
-* **preloaded workers** — each worker imports the experiment modules
-  once at spawn, so the first dispatched run starts simulating
-  immediately;
-* **registry sync** — task names are resolved per worker; every chunk
-  carries the ``name -> "module:qualname"`` entries it needs, so tasks
-  registered after the pool spawned (tests, extensions) still resolve
-  in long-lived workers.
+  sweep and reused by every later one (shut down at interpreter exit,
+  or by the engine when a worker dies, so the next submit spawns fresh
+  workers);
+* **preloaded workers** — each worker imports the modules the sweep
+  tasks live in once at spawn, so the first dispatched run starts
+  simulating immediately.
 
 Dispatch is *chunked*: the engine groups short runs into one submission
 so a 15-run grid costs a handful of pickling round trips instead of 15.
-Chunking is pure transport — tasks are pure functions of their
-parameters, so grouping cannot leak into results (the byte-identity
-contract of :mod:`repro.sweep.engine`).
+Each task function travels by reference (``module:qualname``) and is
+imported in the worker. Chunking is pure transport — tasks are pure
+functions of their parameters, so grouping cannot leak into results
+(the byte-identity contract of :mod:`repro.sweep.engine`).
 """
 
 from __future__ import annotations
@@ -29,15 +28,17 @@ import atexit
 import importlib
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Optional
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, Optional
 
-#: Modules every worker imports at spawn. Covers the registered task
-#: targets (see ``repro.sweep.tasks._TASKS``) and their transitive
-#: simulation imports.
+#: Modules every worker imports at spawn: the ones the sweep tasks live
+#: in, with their transitive simulation imports.
 PRELOAD_MODULES: tuple[str, ...] = (
     "repro.experiments.runner",
+    "repro.experiments.figures",
     "repro.experiments.baselines",
     "repro.experiments.tables",
+    "repro.energy.replay",
     "repro.sweep.engine",
 )
 
@@ -46,18 +47,14 @@ PRELOAD_MODULES: tuple[str, ...] = (
 CHUNKS_PER_WORKER = 4
 
 
-def _warm_worker(registry: dict[str, str], modules: tuple[str, ...]) -> None:
-    """Worker initializer: preload heavy modules, seed the registry."""
+def _warm_worker(modules: tuple[str, ...]) -> None:
+    """Worker initializer: preload heavy modules."""
     for name in modules:
         importlib.import_module(name)
-    from repro.sweep import tasks
-
-    for name, target in registry.items():
-        tasks._TASKS.setdefault(name, target)
 
 
 def _run_chunk(
-    items: list[tuple[str, dict]], registry: dict[str, str]
+    items: list[tuple[Callable[..., Any], dict]],
 ) -> list[tuple[bool, Any, float]]:
     """Worker entry: execute a chunk of runs, one result triple each.
 
@@ -66,11 +63,8 @@ def _run_chunk(
     chunking. Failures are caught per run (`_execute_run` never
     raises), so one bad run cannot poison its chunkmates.
     """
-    from repro.sweep import tasks
     from repro.sweep.engine import _execute_run
 
-    for name, target in registry.items():
-        tasks._TASKS[name] = target
     out = []
     for task, params in items:
         started = time.perf_counter()
@@ -80,7 +74,7 @@ def _run_chunk(
 
 
 class WarmPool:
-    """A reusable process pool with preloaded, registry-synced workers."""
+    """A reusable process pool with preloaded workers."""
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
@@ -88,25 +82,10 @@ class WarmPool:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _make_executor(self) -> ProcessPoolExecutor:
-        from repro.sweep import tasks
-
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_warm_worker,
-            initargs=(dict(tasks._TASKS), PRELOAD_MODULES),
-        )
-
     @property
     def alive(self) -> bool:
         """True while an executor exists (workers spawned, not shut down)."""
         return self._executor is not None
-
-    def rebuild(self) -> None:
-        """Replace a broken executor with a fresh one (same size)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = self._make_executor()
 
     def shutdown(self) -> None:
         """Terminate the workers (the next submit re-spawns them)."""
@@ -117,12 +96,26 @@ class WarmPool:
     # -- dispatch ----------------------------------------------------------
 
     def submit_chunk(
-        self, items: list[tuple[str, dict]], registry: dict[str, str]
+        self, items: list[tuple[Callable[..., Any], dict]]
     ) -> Future:
-        """Submit one chunk of ``(task, params)`` runs."""
+        """Submit one chunk of ``(task, params)`` runs.
+
+        A dead worker breaks the executor: the futures of the chunks in
+        flight raise ``BrokenProcessPool``, and so does the future
+        returned for a chunk submitted after the break.
+        """
         if self._executor is None:
-            self._executor = self._make_executor()
-        return self._executor.submit(_run_chunk, items, registry)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_warm_worker,
+                initargs=(PRELOAD_MODULES,),
+            )
+        try:
+            return self._executor.submit(_run_chunk, items)
+        except BrokenProcessPool as exc:
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
 
 
 #: The per-process shared pool (lazily created, resized on demand).

@@ -1,34 +1,32 @@
 """Declarative sweep specifications.
 
 A :class:`SweepSpec` is an *ordered* list of runs: each
-:class:`RunSpec` names a registered task (see
-:mod:`repro.sweep.tasks`), its parameters (the cache-key material) and
-a free-form label dict the caller uses to tag result rows. Expansion
-is pure — the same spec always yields the same runs in the same order,
-which is what lets the parallel executor promise output byte-identical
-to the serial path.
+:class:`RunSpec` holds a task — a module-level function, sent to worker
+processes by reference — and its keyword parameters (the cache-key
+material). Expansion is pure — the same spec always yields the same
+runs in the same order, which is what lets the parallel executor
+promise output byte-identical to the serial path.
+
+A task's parameters must be canonicalizable (see
+:mod:`repro.sweep.canonical`) and its return value must pickle cleanly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.errors import SweepError
-
-EXPERIMENT_TASK = "experiment"
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One unit of work in a sweep."""
+    """One unit of work in a sweep: ``task(**params)``."""
 
     index: int
-    task: str
+    task: Callable[..., Any]
     params: Mapping[str, Any]
-    label: Mapping[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -46,6 +44,13 @@ class SweepSpec:
                     f"carries index {run.index}; indices must be dense "
                     "and ordered"
                 )
+            # The task's module:qualname is its cache address, so it
+            # must name this function and no other.
+            if "<" in run.task.__qualname__:
+                raise SweepError(
+                    f"sweep {self.name!r}: task {run.task.__qualname__!r} "
+                    "is not a module-level function"
+                )
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -59,78 +64,39 @@ class SweepSpec:
     def from_tasks(
         cls,
         name: str,
-        task: str,
+        task: Callable[..., Any],
         params_list: Sequence[Mapping[str, Any]],
-        labels: Optional[Sequence[Mapping[str, Any]]] = None,
     ) -> "SweepSpec":
         """One run per params dict, all against the same task."""
-        if labels is not None and len(labels) != len(params_list):
-            raise SweepError(
-                f"sweep {name!r}: {len(params_list)} runs but "
-                f"{len(labels)} labels"
-            )
         runs = tuple(
-            RunSpec(
-                index=index,
-                task=task,
-                params=dict(params),
-                label=dict(labels[index]) if labels is not None else {},
-            )
+            RunSpec(index=index, task=task, params=dict(params))
             for index, params in enumerate(params_list)
         )
         return cls(name=name, runs=runs)
 
     @classmethod
-    def experiments(
-        cls,
-        name: str,
-        configs: Sequence[Any],
-        labels: Optional[Sequence[Mapping[str, Any]]] = None,
-    ) -> "SweepSpec":
-        """One :func:`~repro.experiments.runner.run_experiment` per
-        ``ExperimentConfig``, in the given order, each run unobserved
-        (see :mod:`repro.sweep.tasks`)."""
+    def experiments(cls, name: str, configs: Sequence[Any]) -> "SweepSpec":
+        """One :func:`_experiment` run per ``ExperimentConfig``, in the
+        given order."""
         return cls.from_tasks(
-            name,
-            EXPERIMENT_TASK,
-            [{"config": config} for config in configs],
-            labels=labels,
+            name, _experiment, [{"config": config} for config in configs]
         )
 
-    @classmethod
-    def grid(
-        cls,
-        name: str,
-        base: Any,
-        axes: Mapping[str, Sequence[Any]],
-        seeds: Sequence[int] = (0,),
-    ) -> "SweepSpec":
-        """The cartesian product of field ``axes`` × ``seeds`` over a
-        base ``ExperimentConfig``.
 
-        Axes apply via :func:`dataclasses.replace` in the mapping's
-        insertion order; seeds vary fastest. Labels carry each run's
-        axis values plus its seed.
-        """
-        if not dataclasses.is_dataclass(base):
-            raise SweepError("grid base must be a dataclass (ExperimentConfig)")
-        valid = {f.name for f in dataclasses.fields(base)}
-        for axis in axes:
-            if axis not in valid:
-                raise SweepError(
-                    f"grid axis {axis!r} is not a field of "
-                    f"{type(base).__name__}"
-                )
-        if not seeds:
-            raise SweepError("grid needs at least one seed")
-        configs = []
-        labels = []
-        axis_names = list(axes)
-        for values in itertools.product(*(axes[a] for a in axis_names)):
-            overrides = dict(zip(axis_names, values))
-            for seed in seeds:
-                configs.append(
-                    dataclasses.replace(base, seed=seed, **overrides)
-                )
-                labels.append({**overrides, "seed": seed})
-        return cls.experiments(name, configs, labels=labels)
+def _experiment(config: Any) -> Any:
+    """Run one :class:`~repro.experiments.runner.ExperimentConfig`
+    unobserved.
+
+    A swept experiment records nothing it does not return: the result's
+    ``config`` says ``obs_mode="off"``, so it carries the shared
+    ``NULL_RECORDER`` and no metrics snapshot. Its reports, summaries
+    and counters are what the config reports in its own mode, since no
+    obs mode changes them; ``repro run`` and ``repro trace`` call
+    ``run_experiment`` directly when a trace or metrics export is
+    wanted. The runner is looked up on its module at call time, so a
+    wrapper installed there (a profiler's, a test's) sees every swept
+    run.
+    """
+    from repro.experiments import runner
+
+    return runner.run_experiment(dataclasses.replace(config, obs_mode="off"))

@@ -10,7 +10,7 @@ def figure_swept(seed: int = 0) -> list[dict]:
     configs = [video_only([rate] * 4, seed=seed) for rate in rates]
     labels = [{"rate": rate} for rate in rates]
     outcome = SweepEngine().run(
-        SweepSpec.experiments("figure_swept", configs, labels)
+        SweepSpec.experiments("figure_swept", configs)
     )
     return [
         {"rate": label["rate"], "saved": result.summary.avg_saved_pct}

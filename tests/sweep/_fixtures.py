@@ -1,11 +1,14 @@
 """Module-level task functions for the sweep engine tests.
 
 They live in their own importable module (not a test file) so worker
-processes can re-resolve them by ``"module:qualname"`` name.
+processes can import them by ``module:qualname`` when a pickled chunk
+names them.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pathlib
 
 
@@ -23,9 +26,19 @@ def fail_always(x: int) -> int:
 
 
 def fail_once(marker: str, x: int) -> int:
-    """Fails on the first attempt, succeeds once the marker exists."""
+    """Fails on the first call, succeeds once the marker exists."""
     path = pathlib.Path(marker)
     if path.exists():
         return x
     path.write_text("attempted")
     raise RuntimeError("first attempt fails")
+
+
+def die(x: int) -> int:
+    """Kills the worker process that runs it, as an OOM kill would.
+
+    Refuses to run in the main process, where it would end the tests.
+    """
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("die() runs only in a pool worker")
+    os._exit(1)

@@ -7,6 +7,8 @@ from repro.experiments.runner import ClientSpec, ExperimentConfig
 from repro.sweep import ResultCache, SweepEngine, SweepSpec, run_key
 from repro.sweep import cache as cache_module
 
+from tests.sweep._fixtures import double, maybe_none
+
 
 def _config(seed: int = 0) -> ExperimentConfig:
     return ExperimentConfig(
@@ -88,8 +90,7 @@ class TestResultCache:
 class TestEngineCacheBehaviour:
     def _spec(self, xs=(1, 2, 3)):
         return SweepSpec.from_tasks(
-            "cache-behaviour", "test-double",
-            [{"x": x} for x in xs],
+            "cache-behaviour", double, [{"x": x} for x in xs]
         )
 
     def test_cold_run_populates_then_warm_run_hits(self, tmp_path):
@@ -104,7 +105,6 @@ class TestEngineCacheBehaviour:
         assert warm.results == [2, 4, 6]
         assert warm.report.executed == 0
         assert warm.report.cache_hits == 3
-        assert warm.report.simulation_runs == 0
 
     def test_config_change_misses_the_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -128,7 +128,8 @@ class TestEngineCacheBehaviour:
         cache = ResultCache(tmp_path)
         engine = SweepEngine(cache=cache)
         engine.run(self._spec())
-        cache.path_for(run_key("test-double", {"x": 2})).write_bytes(b"junk")
+        key = run_key("tests.sweep._fixtures:double", {"x": 2})
+        cache.path_for(key).write_bytes(b"junk")
 
         outcome = SweepEngine(cache=ResultCache(tmp_path)).run(self._spec())
         assert outcome.results == [2, 4, 6]
@@ -138,7 +139,7 @@ class TestEngineCacheBehaviour:
 
     def test_cached_none_result_counts_as_hit(self, tmp_path):
         spec = SweepSpec.from_tasks(
-            "maybe-none", "test-maybe-none", [{"x": 2}, {"x": 3}]
+            "maybe-none", maybe_none, [{"x": 2}, {"x": 3}]
         )
         cache = ResultCache(tmp_path)
         SweepEngine(cache=cache).run(spec)

@@ -84,6 +84,20 @@ class TestSweepCommand:
         assert parallel["rows"] == serial["rows"]
         assert parallel["report"]["jobs"] == 2
 
+    def test_rows_vary_seeds_fastest(self, capsys):
+        code = main([
+            "sweep", "--clients", "video:56", "--intervals", "100ms,500ms",
+            "--seeds", "0:2", "--duration", "2", "--no-cache", "--json",
+        ])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [(row["interval"], row["seed"]) for row in data["rows"]] == [
+            (0.1, 0), (0.1, 1), (0.5, 0), (0.5, 1),
+        ]
+        assert [run["task"] for run in data["report"]["runs"]] == [
+            "repro.sweep.spec:_experiment"
+        ] * 4
+
 
 class TestFigureCommandCache:
     @pytest.mark.slow

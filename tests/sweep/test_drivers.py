@@ -20,7 +20,7 @@ class TestWarmCacheDrivers:
         warm_engine = SweepEngine(cache=ResultCache(tmp_path))
         warm = figures.figure6(engine=warm_engine, **kwargs)
         report = warm_engine.last_report
-        assert report.simulation_runs == 0
+        assert report.executed == 0
         assert report.cache_hits == report.total == 2
         assert warm == cold
 
@@ -35,7 +35,7 @@ class TestWarmCacheDrivers:
         warm_engine = SweepEngine(cache=ResultCache(tmp_path))
         warm = figures.figure4(seed=1, quick=True, engine=warm_engine)
         report = warm_engine.last_report
-        assert report.simulation_runs == 0
+        assert report.executed == 0
         assert report.cache_hits == report.total == 15
         assert warm == cold
 
@@ -55,7 +55,7 @@ class TestWarmCacheDrivers:
         warm = figures.pareto(engine=warm_engine, **kwargs)
         assert len(warm_engine.reports) == 2
         for report in warm_engine.reports:
-            assert report.simulation_runs == 0
+            assert report.executed == 0
             assert report.cache_hits == report.total
         assert warm == cold
 
@@ -78,7 +78,7 @@ class TestWarmCacheDrivers:
 
         warm = SweepEngine(cache=ResultCache(tmp_path))
         again = drop_effect_dummynet(seed=0, quick=True, engine=warm)
-        assert warm.last_report.simulation_runs == 0
+        assert warm.last_report.executed == 0
         assert again == row
 
     def test_psm_comparison_caches_through_the_engine(self, tmp_path):
@@ -87,5 +87,5 @@ class TestWarmCacheDrivers:
         assert [row["policy"] for row in rows] == ["naive", "psm", "proxy"]
         warm = SweepEngine(cache=ResultCache(tmp_path))
         again = psm_comparison(seed=0, quick=True, engine=warm)
-        assert warm.last_report.simulation_runs == 0
+        assert warm.last_report.executed == 0
         assert again == rows

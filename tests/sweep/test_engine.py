@@ -1,4 +1,4 @@
-"""SweepEngine: serial/parallel identity, retries, isolation, reports."""
+"""SweepEngine: serial/parallel identity, isolation, reports."""
 
 import pickle
 
@@ -8,10 +8,23 @@ from repro.errors import ConfigurationError, SweepExecutionError
 from repro.experiments.runner import ClientSpec, ExperimentConfig
 from repro.sweep import ResultCache, RunSpec, SweepEngine, SweepSpec
 
+from tests.sweep._fixtures import die, double, fail_always, fail_once
+
 
 def _double_spec(n: int = 5) -> SweepSpec:
     return SweepSpec.from_tasks(
-        "doubles", "test-double", [{"x": x} for x in range(n)]
+        "doubles", double, [{"x": x} for x in range(n)]
+    )
+
+
+def _mixed_spec(name: str, *tasks) -> SweepSpec:
+    """Run ``i`` calls ``tasks[i](x=i)``."""
+    return SweepSpec(
+        name=name,
+        runs=tuple(
+            RunSpec(index=i, task=task, params={"x": i})
+            for i, task in enumerate(tasks)
+        ),
     )
 
 
@@ -19,10 +32,6 @@ class TestValidation:
     def test_bad_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
             SweepEngine(jobs=0)
-
-    def test_bad_retries_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepEngine(retries=-1)
 
 
 class TestSerialExecution:
@@ -34,24 +43,25 @@ class TestSerialExecution:
         assert outcome.report.cache_hits == 0
 
     def test_failure_raises_with_traceback(self):
-        spec = SweepSpec.from_tasks(
-            "fails", "test-fail", [{"x": 1}]
-        )
+        spec = SweepSpec.from_tasks("fails", fail_always, [{"x": 1}])
         with pytest.raises(SweepExecutionError) as excinfo:
-            SweepEngine(retries=0).run(spec)
+            SweepEngine().run(spec)
         assert "boom 1" in str(excinfo.value)
         assert "1 run(s) failed" in str(excinfo.value)
+        assert "run 0 (tests.sweep._fixtures:fail_always)" in str(
+            excinfo.value
+        )
 
     def test_one_failure_does_not_stop_other_runs(self):
         spec = SweepSpec(
             name="mixed",
             runs=(
-                RunSpec(index=0, task="test-double", params={"x": 1}),
-                RunSpec(index=1, task="test-fail", params={"x": 9}),
-                RunSpec(index=2, task="test-double", params={"x": 3}),
+                RunSpec(index=0, task=double, params={"x": 1}),
+                RunSpec(index=1, task=fail_always, params={"x": 9}),
+                RunSpec(index=2, task=double, params={"x": 3}),
             ),
         )
-        engine = SweepEngine(retries=0)
+        engine = SweepEngine()
         with pytest.raises(SweepExecutionError):
             engine.run(spec)
         report = engine.last_report
@@ -62,21 +72,34 @@ class TestSerialExecution:
         ]
         assert "boom 9" in report.runs[1].error
 
-    def test_bounded_retry_recovers_a_flaky_run(self, tmp_path):
+    def test_a_rerun_resumes_from_the_cache(self, tmp_path):
+        """A failed run is not retried: it fails once, its siblings
+        reach the cache, and the next run of the spec executes only
+        the failed run."""
         marker = tmp_path / "attempted"
-        spec = SweepSpec.from_tasks(
-            "flaky", "test-fail-once",
-            [{"marker": str(marker), "x": 7}],
+        spec = SweepSpec(
+            name="flaky",
+            runs=(
+                RunSpec(index=0, task=double, params={"x": 1}),
+                RunSpec(
+                    index=1, task=fail_once,
+                    params={"marker": str(marker), "x": 7},
+                ),
+                RunSpec(index=2, task=double, params={"x": 3}),
+            ),
         )
-        outcome = SweepEngine(retries=1).run(spec)
-        assert outcome.results == [7]
-        assert outcome.report.retries == 1
-        assert outcome.report.runs[0].attempts == 2
-
-    def test_retries_are_bounded(self):
-        spec = SweepSpec.from_tasks("fails", "test-fail", [{"x": 3}])
+        cache = ResultCache(tmp_path / "cache")
+        engine = SweepEngine(cache=cache)
         with pytest.raises(SweepExecutionError):
-            SweepEngine(retries=2).run(spec)
+            engine.run(spec)
+        assert marker.exists()
+        assert engine.last_report.failures == 1
+        assert len(cache) == 2
+
+        outcome = engine.run(spec)
+        assert outcome.results == [2, 7, 6]
+        assert outcome.report.cache_hits == 2
+        assert outcome.report.executed == 1
 
 
 class TestParallelExecution:
@@ -102,16 +125,36 @@ class TestParallelExecution:
         parallel = SweepEngine(jobs=2).run(spec)
         assert pickle.dumps(serial.results) == pickle.dumps(parallel.results)
 
-    def test_parallel_failure_isolation_and_retry_exhaustion(self):
-        spec = SweepSpec.from_tasks(
-            "par-fails", "test-fail", [{"x": 1}, {"x": 2}, {"x": 3}]
+    def test_parallel_failure_isolation(self, tmp_path):
+        spec = _mixed_spec(
+            "par-fails", double, fail_always, double, fail_always
         )
-        engine = SweepEngine(jobs=2, retries=1)
+        cache = ResultCache(tmp_path)
+        engine = SweepEngine(jobs=2, cache=cache)
         with pytest.raises(SweepExecutionError):
             engine.run(spec)
         report = engine.last_report
-        assert report.failures == 3
-        assert all(r.attempts == 2 for r in report.runs)
+        assert report.failures == 2
+        assert report.executed == 2
+        assert [record.error is None for record in report.runs] == [
+            True, False, True, False,
+        ]
+        assert "boom 3" in report.runs[3].error
+        assert len(cache) == 2
+
+    def test_a_dead_worker_fails_its_runs_and_the_pool_recovers(self):
+        spec = _mixed_spec("dead-worker", double, die, double, double)
+        engine = SweepEngine(jobs=2)
+        with pytest.raises(SweepExecutionError) as excinfo:
+            engine.run(spec)
+        assert "run 1 (tests.sweep._fixtures:die)" in str(excinfo.value)
+        report = engine.last_report
+        assert report.executed + report.failures == report.total == 4
+        assert "BrokenProcessPool" in report.runs[1].error
+
+        outcome = engine.run(_double_spec(4))
+        assert outcome.results == [0, 2, 4, 6]
+        assert outcome.report.executed == 4
 
     def test_parallel_writes_populate_the_shared_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -137,9 +180,8 @@ class TestReporting:
         data = report.as_dict()
         assert data["total"] == 2
         assert len(data["runs"]) == 2
-        assert {"index", "task", "key", "cached", "attempts"} <= set(
-            data["runs"][0]
-        )
+        assert {"index", "task", "key", "cached"} <= set(data["runs"][0])
+        assert data["runs"][0]["task"] == "tests.sweep._fixtures:double"
 
     def test_summary_is_one_line(self):
         report = SweepEngine().run(_double_spec(2)).report

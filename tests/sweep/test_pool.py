@@ -1,17 +1,21 @@
-"""Warm-pool unit tests: chunking math, registry sync, pool sizing.
+"""Warm-pool unit tests: chunking math, pool sizing, a dead worker.
 
-These cover the pure logic of :mod:`repro.sweep.pool` without spawning
+Most cover the pure logic of :mod:`repro.sweep.pool` without spawning
 workers (executor creation is lazy, so a :class:`WarmPool` object is
-cheap); the end-to-end dispatch paths — including rebuild after a dead
-worker — are exercised by the engine's parallel tests.
+cheap); one spawns a single worker and kills it. The end-to-end
+dispatch paths — including the engine's shutdown of the pool after a
+dead worker — are exercised by the engine's parallel tests
+(``tests/sweep/test_engine.py``).
 """
+
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.errors import SweepError
 from repro.sweep import pool as pool_mod
 from repro.sweep.pool import CHUNKS_PER_WORKER, WarmPool, chunk_runs, shared_pool
-from repro.sweep.tasks import task_targets
+
+from tests.sweep._fixtures import die, double
 
 
 class TestChunkRuns:
@@ -42,16 +46,6 @@ class TestChunkRuns:
             assert max(sizes) - min(sizes) <= 1
 
 
-class TestTaskTargets:
-    def test_returns_registered_targets(self):
-        targets = task_targets({"experiment"})
-        assert targets == {"experiment": "repro.sweep.tasks:_experiment"}
-
-    def test_unknown_name_fails_in_the_parent(self):
-        with pytest.raises(SweepError, match="unknown sweep task"):
-            task_targets({"experiment", "no-such-task"})
-
-
 class TestSharedPool:
     @pytest.fixture(autouse=True)
     def _isolate_singleton(self, monkeypatch):
@@ -75,3 +69,18 @@ class TestSharedPool:
     def test_smaller_request_keeps_the_larger_pool(self):
         big = shared_pool(4)
         assert shared_pool(2) is big
+
+
+class TestDeadWorker:
+    def test_a_chunk_submitted_after_the_break_fails_in_its_future(self):
+        """The engine reads every failure from a future, so a submit
+        to a broken executor must not raise."""
+        pool = WarmPool(1)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                pool.submit_chunk([(die, {"x": 0})]).result(timeout=60)
+            late = pool.submit_chunk([(double, {"x": 1})])
+            with pytest.raises(BrokenProcessPool):
+                late.result(timeout=60)
+        finally:
+            pool.shutdown()

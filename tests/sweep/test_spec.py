@@ -1,10 +1,13 @@
-"""SweepSpec expansion: ordering, grids, validation."""
+"""SweepSpec expansion: ordering, validation."""
 
 import pytest
 
 from repro.errors import SweepError
 from repro.experiments.runner import ClientSpec, ExperimentConfig
 from repro.sweep import RunSpec, SweepSpec
+from repro.sweep.spec import _experiment
+
+from tests.sweep._fixtures import double
 
 
 def _base() -> ExperimentConfig:
@@ -16,71 +19,33 @@ def _base() -> ExperimentConfig:
 
 class TestFromTasks:
     def test_runs_are_indexed_in_order(self):
-        spec = SweepSpec.from_tasks(
-            "s", "test-double", [{"x": 1}, {"x": 2}],
-            labels=[{"n": "a"}, {"n": "b"}],
-        )
+        spec = SweepSpec.from_tasks("s", double, [{"x": 1}, {"x": 2}])
         assert [run.index for run in spec] == [0, 1]
         assert spec.runs[1].params == {"x": 2}
-        assert spec.runs[1].label == {"n": "b"}
-
-    def test_label_count_mismatch_rejected(self):
-        with pytest.raises(SweepError):
-            SweepSpec.from_tasks("s", "test-double", [{"x": 1}], labels=[])
+        assert spec.runs[1].task is double
 
     def test_non_dense_indices_rejected(self):
         with pytest.raises(SweepError):
             SweepSpec(
                 name="s",
-                runs=(RunSpec(index=1, task="test-double", params={"x": 1}),),
+                runs=(RunSpec(index=1, task=double, params={"x": 1}),),
             )
 
+    def test_a_task_that_is_not_module_level_is_rejected(self):
+        """Its module:qualname would not name it alone, so two such
+        tasks could share a cache key."""
 
-class TestGrid:
-    def test_axes_product_with_seeds_varying_fastest(self):
-        spec = SweepSpec.grid(
-            "g", _base(),
-            axes={"burst_interval_s": [0.1, 0.5]},
-            seeds=(0, 1),
-        )
-        labels = [dict(run.label) for run in spec]
-        assert labels == [
-            {"burst_interval_s": 0.1, "seed": 0},
-            {"burst_interval_s": 0.1, "seed": 1},
-            {"burst_interval_s": 0.5, "seed": 0},
-            {"burst_interval_s": 0.5, "seed": 1},
-        ]
-        configs = [run.params["config"] for run in spec]
-        assert [c.seed for c in configs] == [0, 1, 0, 1]
-        assert [c.burst_interval_s for c in configs] == [0.1, 0.1, 0.5, 0.5]
+        def local(x):
+            return x
 
-    def test_multi_axis_expansion_order(self):
-        spec = SweepSpec.grid(
-            "g", _base(),
-            axes={"burst_interval_s": [0.1, 0.5], "early_s": [0.0, 0.006]},
-        )
-        assert len(spec) == 4
-        first, second = spec.runs[0], spec.runs[1]
-        assert first.label["burst_interval_s"] == 0.1
-        assert first.label["early_s"] == 0.0
-        assert second.label["early_s"] == 0.006
-
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(SweepError):
-            SweepSpec.grid("g", _base(), axes={"not_a_field": [1]})
-
-    def test_non_dataclass_base_rejected(self):
-        with pytest.raises(SweepError):
-            SweepSpec.grid("g", {"seed": 0}, axes={})
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(SweepError):
-            SweepSpec.grid("g", _base(), axes={}, seeds=())
+        for task in (local, lambda x: x):
+            with pytest.raises(SweepError, match="not a module-level"):
+                SweepSpec.from_tasks("s", task, [{"x": 1}])
 
 
 class TestExperiments:
     def test_wraps_configs_under_the_experiment_task(self):
         config = _base()
         spec = SweepSpec.experiments("e", [config])
-        assert spec.runs[0].task == "experiment"
+        assert spec.runs[0].task is _experiment
         assert spec.runs[0].params == {"config": config}

@@ -22,7 +22,7 @@ from repro.experiments.runner import (
 )
 from repro.faults import FaultPlan, Window
 from repro.net.channel import ChannelPlan
-from repro.obs.recorder import NullRecorder, SimRecorder
+from repro.obs.recorder import NULL_RECORDER, SimRecorder
 from repro.sweep import SweepEngine, SweepSpec
 
 
@@ -155,7 +155,7 @@ def test_a_swept_result_is_the_off_mode_run(name, swept, direct_off):
     assert result.config == expected.config
     assert result.config.obs_mode == "off"
     assert result.metrics is None
-    assert type(result.obs) is NullRecorder
+    assert result.obs is NULL_RECORDER
     assert _outputs(result) == _outputs(expected)
 
 
