@@ -134,11 +134,12 @@ class Burster:
                     nbytes, mark_last=last
                 )
             sent += nbytes
-        self.obs.event(
-            self.node.sim.now, "proxy.burst",
-            client=queue.client_ip, bytes=sent, entries=len(entries),
-            allotted=slot.bytes_allotted,
-        )
+        if self.obs.record_events:
+            self.obs.event(
+                self.node.sim.now, "proxy.burst",
+                client=queue.client_ip, bytes=sent, entries=len(entries),
+                allotted=slot.bytes_allotted,
+            )
         client = queue.client_ip
         counters = self._burst_counters.get(client)
         if counters is None:

@@ -225,9 +225,11 @@ class ScheduleMachine(ClientMachine):
     def on_schedule(self, schedule: Schedule, now: float) -> None:
         self.schedules_heard += 1
         self.compensator.observe_arrival(schedule, now)
-        self.obs.event(
-            now, "client.schedule-heard", client=self.client, seq=schedule.seq
-        )
+        if self.obs.record_events:
+            self.obs.event(
+                now, "client.schedule-heard",
+                client=self.client, seq=schedule.seq,
+            )
         heard = self._heard_counter
         if heard is None:
             heard = self._heard_counter = self.obs.resolve_counter(
@@ -283,11 +285,12 @@ class ScheduleMachine(ClientMachine):
 
     def _burst_done(self, got_mark: bool, now: float) -> None:
         first = self.burst_first_frame
-        self.obs.span(
-            self._burst_woke_at, now, "burst", f"client {self.client}",
-            got_mark=got_mark, replay=self._repetition > 0,
-            got_data=first is not None,
-        )
+        if self.obs.record_spans:
+            self.obs.span(
+                self._burst_woke_at, now, "burst", f"client {self.client}",
+                got_mark=got_mark, replay=self._repetition > 0,
+                got_data=first is not None,
+            )
         if first is not None:
             self.bursts_received += 1
             self.early_wait_s += max(0.0, first - self._burst_woke_at)

@@ -108,11 +108,12 @@ class DynamicScheduler:
                 # the cell it just left.
                 continue
             self.planner.slot_started(slot, sim.now)
-            self.proxy.obs.span(
-                slot.rendezvous, slot.rendezvous + slot.duration,
-                "slot", f"client {slot.client_ip}",
-                seq=schedule.seq, bytes_allotted=slot.bytes_allotted,
-            )
+            if self.proxy.obs.record_spans:
+                self.proxy.obs.span(
+                    slot.rendezvous, slot.rendezvous + slot.duration,
+                    "slot", f"client {slot.client_ip}",
+                    seq=schedule.seq, bytes_allotted=slot.bytes_allotted,
+                )
             queue = self.proxy.queue_for(slot.client_ip)
             # Only kick when recovery is truly stuck: no progress for
             # well over one interval (ordinary ACK clocking pauses for

@@ -190,10 +190,11 @@ class StaticScheduler:
             at = start + slot.offset
             if at > sim.now:
                 yield sim.timeout(at - sim.now)
-            self.proxy.obs.span(
-                at, at + slot.duration, "slot",
-                f"client {slot.client_ip}", static=True,
-            )
+            if self.proxy.obs.record_spans:
+                self.proxy.obs.span(
+                    at, at + slot.duration, "slot",
+                    f"client {slot.client_ip}", static=True,
+                )
             queue = self.proxy.queue_for(slot.client_ip)
             allotment = self.cost_model.bytes_for(slot.duration)
             entries = queue.pop_up_to(allotment, kind="udp")

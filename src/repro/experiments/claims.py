@@ -917,10 +917,11 @@ ENTRIES: tuple[Entry, ...] = (
         (View(("t_null_s", "t_trace_s", "t_full_s", "null_overhead_pct",
                "full_overhead_pct")),),
         intro=(
-            "Wall-clock cost of the instrumentation facade on the "
-            "schedule-reuse workload (min of 3 runs per mode; `null` = "
-            "NullRecorder hooks, `trace` = pre-obs baseline, `full` = trace "
-            "+ metrics + spans). The NullRecorder budget is 5%.",
+            "CPU cost of the instrumentation facade on the "
+            "schedule-reuse workload (median of 7 alternating runs per "
+            "mode; `null` = NullRecorder hooks, `trace` = pre-obs "
+            "baseline, `full` = trace + metrics + spans). The NullRecorder "
+            "budget is 5%.",
         ),
     ),
 )

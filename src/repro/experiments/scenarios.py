@@ -34,6 +34,7 @@ from repro.net.packet import reset_packet_ids
 from repro.net.sniffer import MonitoringStation
 from repro.obs import NULL_RECORDER, Recorder, SimRecorder, TraceRecorder
 from repro.sim import RngStreams, Simulator
+from repro.sim.random import buffered_draws
 from repro.units import mbps, ms
 from repro.wnic.states import Wnic
 
@@ -191,12 +192,12 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
     for k in range(n_cells):
         suffix = "" if k == 0 else f"@c{k}"
         label = cell_label(k) if n_cells > 1 else ""
-        loss_rng = streams.get(f"medium-loss{suffix}")
+        loss_draw = buffered_draws(streams.get(f"medium-loss{suffix}").random)
         drop = None
         if MEDIUM_LOSS_RATE > 0:
 
-            def drop(packet, _rng=loss_rng, _rate=MEDIUM_LOSS_RATE):
-                return bool(_rng.random() < _rate)
+            def drop(packet, _draw=loss_draw, _rate=MEDIUM_LOSS_RATE):
+                return _draw() < _rate
 
         medium = WirelessMedium(
             sim,

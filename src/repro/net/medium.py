@@ -22,6 +22,7 @@ yields the ~4-5 Mbps effective goodput the paper reports.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.net.packet import Packet
 from repro.obs.metrics import BYTES_BUCKETS
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.core import Simulator
+from repro.sim.random import buffered_draws
 from repro.units import mbps, ms, transmit_time
 
 #: Nominal channel rate (the testbed's 11 Mb/s WaveLAN cell).
@@ -58,7 +60,6 @@ class WirelessMedium:
         obs: Optional[Recorder] = None,
     ) -> None:
         self.sim = sim
-        self.rng = rng
         self.obs = obs if obs is not None else NULL_RECORDER
         self.drop = drop
         self.counters = counters if counters is not None else FaultCounters()
@@ -94,14 +95,14 @@ class WirelessMedium:
         self._frame_handles: dict[str, tuple] = {}
         self._gateway: Optional[Interface] = None
         self._queue: deque[tuple[Interface, Packet]] = deque()
-        #: Buffered contention-backoff draws. ``rng`` ("medium-backoff")
-        #: is exclusive to this draw site, and numpy fills an array with
-        #: the same bitstream consumption as repeated scalar draws, so
-        #: chunked refills yield the identical value sequence (pinned by
-        #: the kernel-equivalence goldens) without per-frame Generator
-        #: call overhead.
-        self._backoff_buf: list[float] = []
-        self._backoff_i = 0
+        #: The next contention backoff. ``rng`` ("medium-backoff") is
+        #: exclusive to this draw site, so buffered draws yield the
+        #: values of scalar ones (pinned by the kernel-equivalence
+        #: goldens).
+        self._next_backoff = (
+            None if rng is None
+            else buffered_draws(partial(rng.uniform, 0.0, MAX_BACKOFF_S))
+        )
         self._busy = False
         self._in_flight: Optional[tuple[Interface, Packet, float]] = None
         self.frames_sent = 0
@@ -216,16 +217,8 @@ class WirelessMedium:
         sim = self.sim
         src_iface, packet = self._queue.popleft()
         occupancy = self.airtime(packet.wire_size)
-        if self.rng is not None:
-            i = self._backoff_i
-            buf = self._backoff_buf
-            if i == len(buf):
-                buf = self._backoff_buf = self.rng.uniform(
-                    0.0, MAX_BACKOFF_S, 256
-                ).tolist()
-                i = 0
-            occupancy += buf[i]
-            self._backoff_i = i + 1
+        if self._next_backoff is not None:
+            occupancy += self._next_backoff()
         self._in_flight = (src_iface, packet, sim.now)
         sim.call_later(occupancy, self._frame_done)
 
@@ -286,25 +279,27 @@ class WirelessMedium:
     def _deliver(
         self, src_iface: Interface, packet: Packet, start: float, end: float
     ) -> None:
-        self.obs.event(
-            end, "medium.frame",
-            start=start, end=end,
-            src=packet.src.ip, dst=packet.dst.ip,
-            src_port=packet.src.port, dst_port=packet.dst.port,
-            proto=packet.proto, size=packet.wire_size,
-            payload=packet.payload_size, marked=packet.tos_marked,
-            broadcast=packet.is_broadcast,
-            sender=src_iface.node.name,
-            packet_id=packet.packet_id,
-            **self._cell_fields,
-        )
+        obs = self.obs
+        if obs.record_events:
+            obs.event(
+                end, "medium.frame",
+                start=start, end=end,
+                src=packet.src.ip, dst=packet.dst.ip,
+                src_port=packet.src.port, dst_port=packet.dst.port,
+                proto=packet.proto, size=packet.wire_size,
+                payload=packet.payload_size, marked=packet.tos_marked,
+                broadcast=packet.is_broadcast,
+                sender=src_iface.node.name,
+                packet_id=packet.packet_id,
+                **self._cell_fields,
+            )
         handles = self._frame_handles.get(packet.proto)
         if handles is None:
             handles = (
-                self.obs.resolve_counter(
+                obs.resolve_counter(
                     "medium.frames", proto=packet.proto, **self._cell_fields
                 ),
-                self.obs.resolve_histogram(
+                obs.resolve_histogram(
                     "medium.frame_bytes", buckets=BYTES_BUCKETS,
                     proto=packet.proto, **self._cell_fields,
                 ),

@@ -16,7 +16,10 @@ The ``OBS001`` analysis rule forbids calling ``TraceRecorder.record``
 directly anywhere outside this package, so the recorder is the one
 funnel all observability flows through. :class:`NullRecorder` keeps the
 hooks nearly free when observability is off (the overhead bench in
-``benchmarks/test_bench_obs_overhead.py`` holds it under 5%).
+``benchmarks/test_bench_obs_overhead.py`` holds it under 5%), and a hot
+call site builds an event's fields or a span only when
+:attr:`Recorder.record_events` or :attr:`Recorder.record_spans` says
+the recorder keeps it.
 """
 
 from __future__ import annotations
@@ -160,12 +163,23 @@ NULL_INSTRUMENT = _NullInstrument()
 
 
 class Recorder:
-    """Interface (and no-op base) for instrumentation sinks."""
+    """Interface (and no-op base) for instrumentation sinks.
+
+    A recorder that keeps rows says so through :attr:`record_events`
+    and :attr:`record_spans`. The call sites that fire per frame, per
+    WNIC transition or per slot read them and build an event's fields
+    or a span only when it is kept; a sink that leaves them ``False``
+    never sees those rows.
+    """
 
     #: The wrapped raw trace log, if any (the event exports read it).
     trace: Optional[TraceRecorder] = None
     #: The metrics registry, if metrics are being collected.
     metrics: Optional[MetricsRegistry] = None
+    #: Whether :meth:`event` keeps its rows.
+    record_events: bool = False
+    #: Whether :meth:`span` keeps its spans.
+    record_spans: bool = False
 
     def event(self, time: float, category: str, **fields: Any) -> None:
         """Record a point event at simulated ``time``."""

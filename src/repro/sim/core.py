@@ -1,7 +1,7 @@
 """Simulator event loop and primitive events.
 
-The kernel is intentionally small: a binary heap of ``(time, seq,
-entry)`` tuples and an :class:`Event` type with success/failure
+The kernel is intentionally small: a binary heap of ``(time, seq, fn,
+arg)`` tuples and an :class:`Event` type with success/failure
 semantics. Processes (see :mod:`repro.sim.process`) are built on top of
 these primitives.
 
@@ -13,11 +13,15 @@ Performance: this is the hottest code in the repository — a cold
 figure-4 sweep pops over a million heap entries — so the hot paths are
 deliberately flat:
 
+* every heap entry has the one shape ``(time, seq, fn, arg)``, and
+  firing it is ``fn()`` when ``arg`` is the private no-argument
+  sentinel and ``fn(arg)`` otherwise: a timer
+  (:meth:`Simulator.call_later` / ``call_at`` and their one-argument
+  siblings) carries its callable in the tuple, and a triggered
+  :class:`Event` carries ``Event._run_callbacks`` with itself as
+  ``arg``, so no entry allocates a cell or costs an extra frame;
 * :meth:`Simulator.run` inlines the pop/advance/dispatch loop instead
   of calling :meth:`Simulator.step` per event;
-* timer callbacks (:meth:`Simulator.call_later` / ``call_at``) enqueue
-  a tiny :class:`_Callback` cell instead of a full :class:`Event` plus
-  a callback list;
 * :class:`Timeout` initializes its slots and pushes onto the heap
   directly rather than chaining through ``Event.__init__``;
 * :meth:`Simulator.run` pauses the cyclic garbage collector, which
@@ -37,6 +41,11 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
+
+#: The ``arg`` of a heap entry whose ``fn`` takes no argument. A
+#: sentinel rather than ``None``: ``call_later1(d, fn, None)`` must
+#: still call ``fn(None)``.
+_NO_ARG = object()
 
 
 class Event:
@@ -97,7 +106,7 @@ class Event:
             raise SimulationError("event is already scheduled")
         self._scheduled = True
         sim._seq += 1
-        heappush(sim._heap, (sim._now, sim._seq, self))
+        heappush(sim._heap, (sim._now, sim._seq, Event._run_callbacks, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -113,7 +122,7 @@ class Event:
             raise SimulationError("event is already scheduled")
         self._scheduled = True
         sim._seq += 1
-        heappush(sim._heap, (sim._now, sim._seq, self))
+        heappush(sim._heap, (sim._now, sim._seq, Event._run_callbacks, self))
         return self
 
     def _run_callbacks(self) -> None:
@@ -154,43 +163,9 @@ class Timeout(Event):
         self._processed = False
         self.delay = delay
         sim._seq += 1
-        heappush(sim._heap, (sim._now + delay, sim._seq, self))
-
-
-class _Callback:
-    """A bare timer cell: fires ``fn()`` and vanishes.
-
-    Used by :meth:`Simulator.call_later`/``call_at`` for the hundreds of
-    thousands of fire-and-forget timers (link delivery, TCP timer
-    generations, delayed ACKs) that never need Event semantics — no
-    value, no joiners, no callback list.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[], None]) -> None:
-        self.fn = fn
-
-    def _run_callbacks(self) -> None:
-        self.fn()
-
-
-class _Call1:
-    """Like :class:`_Callback` but carries one argument for ``fn``.
-
-    Saves the lambda/closure allocation at per-packet call sites such
-    as link delivery (``deliver(packet)`` a few hundred thousand times
-    per sweep).
-    """
-
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn: Callable[[Any], None], arg: Any) -> None:
-        self.fn = fn
-        self.arg = arg
-
-    def _run_callbacks(self) -> None:
-        self.fn(self.arg)
+        heappush(
+            sim._heap, (sim._now + delay, sim._seq, Event._run_callbacks, self)
+        )
 
 
 class AnyOf(Event):
@@ -256,7 +231,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, Any]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], Any]] = []
         self._seq = 0
 
     @property
@@ -299,7 +274,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative call_later delay: {delay!r}")
         self._seq += 1
-        heappush(self._heap, (self._now + delay, self._seq, _Callback(func)))
+        heappush(self._heap, (self._now + delay, self._seq, func, _NO_ARG))
 
     def call_later1(
         self, delay: float, func: Callable[[Any], None], arg: Any
@@ -308,9 +283,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative call_later delay: {delay!r}")
         self._seq += 1
-        heappush(
-            self._heap, (self._now + delay, self._seq, _Call1(func, arg))
-        )
+        heappush(self._heap, (self._now + delay, self._seq, func, arg))
 
     def call_at(self, when: float, func: Callable[[], None]) -> None:
         """Run ``func()`` at absolute simulated time ``when``."""
@@ -319,7 +292,7 @@ class Simulator:
                 f"cannot schedule in the past: {when} < now={self._now}"
             )
         self._seq += 1
-        heappush(self._heap, (when, self._seq, _Callback(func)))
+        heappush(self._heap, (when, self._seq, func, _NO_ARG))
 
     def call_at1(
         self, when: float, func: Callable[[Any], None], arg: Any
@@ -330,7 +303,7 @@ class Simulator:
                 f"cannot schedule in the past: {when} < now={self._now}"
             )
         self._seq += 1
-        heappush(self._heap, (when, self._seq, _Call1(func, arg)))
+        heappush(self._heap, (when, self._seq, func, arg))
 
     # -- running --------------------------------------------------------------
 
@@ -347,11 +320,14 @@ class Simulator:
         """
         if not self._heap:
             raise SimulationError("no scheduled events to step")
-        when, _seq, entry = heappop(self._heap)
+        when, _seq, fn, arg = heappop(self._heap)
         if when < self._now:
             raise SimulationError("event heap corrupted: time went backwards")
         self._now = when
-        entry._run_callbacks()
+        if arg is _NO_ARG:
+            fn()
+        else:
+            fn(arg)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap drains or ``until`` (exclusive of later events).
@@ -374,20 +350,25 @@ class Simulator:
             # the method dispatch and repeated attribute loads are
             # measurable.
             heap = self._heap
+            no_arg = _NO_ARG
             if until is None:
                 while heap:
-                    entry = heappop(heap)
-                    self._now = entry[0]
-                    entry[2]._run_callbacks()
+                    self._now, _seq, fn, arg = heappop(heap)
+                    if arg is no_arg:
+                        fn()
+                    else:
+                        fn(arg)
                 return
             if until < self._now:
                 raise SimulationError(
                     f"until={until} is in the past (now={self._now})"
                 )
             while heap and heap[0][0] <= until:
-                entry = heappop(heap)
-                self._now = entry[0]
-                entry[2]._run_callbacks()
+                self._now, _seq, fn, arg = heappop(heap)
+                if arg is no_arg:
+                    fn()
+                else:
+                    fn(arg)
             self._now = until
         finally:
             if collector_on:

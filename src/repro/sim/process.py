@@ -11,7 +11,7 @@ yielding them and composed with ``any_of``/``all_of``.
 
 Hot-path note: process startup and resumption dominate sweep profiles
 (hundreds of thousands of spawns/resumes per cold figure-4 run), so the
-bootstrap is a single lightweight timer cell instead of a full Event,
+bootstrap is a single timer entry instead of a full Event,
 the generator's ``send``/``throw`` and the ``_resume`` bound method are
 cached once per process, and ``_resume`` reads Event slots directly
 instead of going through property descriptors. The enqueue order is

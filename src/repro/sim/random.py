@@ -10,8 +10,12 @@ browsing script), because each stream has an independent generator.
 from __future__ import annotations
 
 import zlib
+from typing import Callable, Iterator
 
 import numpy as np
+
+#: Values per refill of :func:`buffered_draws`.
+DRAW_CHUNK = 256
 
 
 def _stable_key(name: str) -> int:
@@ -46,3 +50,22 @@ class RngStreams:
     def fork(self, salt: str) -> "RngStreams":
         """Derive a child family of streams (e.g. per experiment trial)."""
         return RngStreams(seed=(self.seed * 1_000_003 + _stable_key(salt)) % 2**63)
+
+
+def buffered_draws(draw: Callable[[int], np.ndarray]) -> Callable[[], float]:
+    """A no-argument callable returning ``draw``'s values one at a time.
+
+    ``draw(n)`` is a sized ``Generator`` method (``rng.random``, or
+    ``rng.uniform`` with its bounds bound); it is called for
+    :data:`DRAW_CHUNK` values at a time, when the previous chunk runs
+    out. numpy fills an array with the same bitstream consumption as
+    repeated scalar calls, so on a stream that nothing else reads the
+    values are exactly those of one scalar call per value, without the
+    per-call ``Generator`` overhead.
+    """
+
+    def values() -> Iterator[float]:
+        while True:
+            yield from draw(DRAW_CHUNK).tolist()
+
+    return values().__next__

@@ -47,7 +47,6 @@ class ExecutionReport:
     jobs: int
     total: int = 0
     cache_hits: int = 0
-    cache_misses: int = 0
     executed: int = 0
     failures: int = 0
     corrupt_cache_entries: int = 0
@@ -62,7 +61,7 @@ class ExecutionReport:
             "jobs": self.jobs,
             "total": self.total,
             "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
+            "cache_misses": self.total - self.cache_hits,
             "executed": self.executed,
             "failures": self.failures,
             "corrupt_cache_entries": self.corrupt_cache_entries,
@@ -152,7 +151,6 @@ class SweepEngine:
         for report in self.reports:
             combined.total += report.total
             combined.cache_hits += report.cache_hits
-            combined.cache_misses += report.cache_misses
             combined.executed += report.executed
             combined.failures += report.failures
             combined.corrupt_cache_entries += report.corrupt_cache_entries
@@ -183,7 +181,6 @@ class SweepEngine:
                 report.cache_hits += 1
                 results[run.index] = hit[0]
             else:
-                report.cache_misses += 1
                 pending.append(run)
 
         if pending:

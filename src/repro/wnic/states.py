@@ -97,23 +97,26 @@ class Wnic:
         self._state = state
         self.transitions.append((now, state))
         to_state = state.value
-        self.obs.event(now, "wnic.transition", owner=self.owner, state=to_state)
+        obs = self.obs
+        if obs.record_events:
+            obs.event(now, "wnic.transition", owner=self.owner, state=to_state)
         counter = self._transition_counters.get(to_state)
         if counter is None:
             counter = self._transition_counters[to_state] = (
-                self.obs.resolve_counter(
+                obs.resolve_counter(
                     "wnic.transitions", owner=self.owner, to_state=to_state
                 )
             )
         counter.inc()
         if (
-            state == WnicState.SLEEP
+            obs.record_spans
+            and state == WnicState.SLEEP
             and previous is not None
             and previous[1] != WnicState.SLEEP
             and now > previous[0]
         ):
             # One completed awake stretch: render it on the timeline.
-            self.obs.span(previous[0], now, "awake", self.owner)
+            obs.span(previous[0], now, "awake", self.owner)
 
     # -- timeline ----------------------------------------------------------
 

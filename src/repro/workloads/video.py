@@ -162,12 +162,7 @@ class VideoServerApp:
             n_packets = max(1, round(segment_bytes / PACKET_PAYLOAD))
             self._segment_left = n_packets
             self._spacing = SEGMENT_S / n_packets
-        self._socket.sendto(
-            PACKET_PAYLOAD,
-            self.client_endpoint,
-            seq=self._seq,
-            meta={"stream": "video", "tier": self.current_tier},
-        )
+        self._socket.sendto(PACKET_PAYLOAD, self.client_endpoint, seq=self._seq)
         self._seq += 1
         self.packets_sent += 1
         self.bytes_sent += PACKET_PAYLOAD

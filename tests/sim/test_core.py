@@ -133,6 +133,58 @@ class TestEvent:
             sim.call_at(1.0, lambda: None)
 
 
+class TestHeapEntries:
+    """Every entry is ``(time, seq, fn, arg)``; ``arg`` may be ``None``."""
+
+    def test_one_argument_timers_pass_none_through(self):
+        sim = Simulator()
+        calls = []
+        sim.call_later1(1.0, lambda *args: calls.append(args), None)
+        sim.call_at1(2.0, lambda *args: calls.append(args), None)
+        sim.run()
+        assert calls == [(None,), (None,)]
+
+    def test_plain_timers_call_with_no_argument(self):
+        sim = Simulator()
+        calls = []
+        sim.call_later(1.0, lambda *args: calls.append(args))
+        sim.call_at(2.0, lambda *args: calls.append(args))
+        sim.run()
+        assert calls == [(), ()]
+
+    @staticmethod
+    def _program(sim: Simulator, fired: list) -> None:
+        """Ties across every entry kind, with entries that schedule more."""
+        for delay in (1.0, 0.0, 1.0, 0.5):
+            sim.call_later(delay, lambda d=delay: fired.append(("later", d)))
+            sim.call_later1(delay, fired.append, ("later1", delay))
+            sim.call_at(delay, lambda d=delay: fired.append(("at", d)))
+            sim.call_at1(delay, fired.append, ("at1", delay))
+            sim.timeout(delay, delay).add_callback(
+                lambda e: fired.append(("timeout", e.value))
+            )
+        event = sim.event()
+        event.add_callback(lambda e: fired.append(("event", e.value)))
+        sim.call_later1(0.5, event.succeed, "late")
+        sim.call_later(
+            1.0, lambda: sim.call_later1(0.0, fired.append, ("nested", 1.0))
+        )
+
+    def test_step_fires_entries_in_run_order(self):
+        ran = Simulator()
+        by_run: list = []
+        self._program(ran, by_run)
+        ran.run()
+        stepped = Simulator()
+        by_step: list = []
+        self._program(stepped, by_step)
+        while stepped.peek() != float("inf"):
+            stepped.step()
+        assert len(by_run) == 22
+        assert by_step == by_run
+        assert stepped._seq == ran._seq
+
+
 class TestConditions:
     def test_any_of_fires_on_first(self):
         sim = Simulator()
@@ -179,9 +231,9 @@ def collector_on():
 def _keeping(sim: Simulator, n: int) -> list:
     """Schedules ten callbacks that together keep ``n`` new lists.
 
-    Each popped event frees tracked objects (its heap entry, timer cell
-    and closure), so a run adds to the collector's pending count only
-    if its callbacks keep more than that.
+    Each popped event frees tracked objects (its heap entry and
+    closure), so a run adds to the collector's pending count only if
+    its callbacks keep more than that.
     """
     kept: list = []
     for i in range(10):

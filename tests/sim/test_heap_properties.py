@@ -1,9 +1,11 @@
 """Heap-ordering properties of the optimized event kernel (hypothesis).
 
-The speed program replaced generator processes and Event-based timers
-with a zoo of lightweight heap entries (``Timeout``, ``_Callback``,
-``_Call1``, bare ``Event`` pushes). Determinism rests on two heap
-invariants that must hold *across every entry kind*, not just the ones
+Every heap entry has the one shape ``(time, seq, fn, arg)``, but five
+scheduling APIs push it: ``call_later``/``call_at`` (``fn`` with the
+no-argument sentinel), ``call_later1``/``call_at1`` (``fn`` with its
+argument), and ``Timeout`` and ``Event.succeed`` (``Event._run_callbacks``
+with the event). Determinism rests on two heap invariants that must
+hold *across every scheduling API*, not just the ones
 ``tests/sim/test_properties.py`` exercises:
 
 * **FIFO within a tie** — entries scheduled at the same time fire in
@@ -23,7 +25,7 @@ from repro.sim import Simulator
 TIE_DELAYS = (0.0, 0.25, 0.5, 1.0)
 
 #: The scheduling APIs under test. Each schedules "append marker to
-#: ``fired``" through a different heap-entry kind.
+#: ``fired``" its own way.
 ENTRY_KINDS = ("timeout", "call_later", "call_later1", "call_at", "call_at1",
                "event")
 
@@ -63,7 +65,7 @@ class TestSameTimeFifo:
     @given(ops=schedules)
     @settings(max_examples=100, deadline=None)
     def test_ties_fire_in_program_order_across_entry_kinds(self, ops):
-        """Same time ⇒ program order, whatever the entry kind.
+        """Same time ⇒ program order, whatever the scheduling API.
 
         Deferred ``event`` entries re-push at fire time, which lands
         them *after* direct pushes at the same instant — so the FIFO

@@ -1,6 +1,9 @@
 """Unit tests for named seeded RNG streams."""
 
+from functools import partial
+
 from repro.sim import RngStreams
+from repro.sim.random import DRAW_CHUNK, buffered_draws
 
 
 class TestRngStreams:
@@ -40,3 +43,24 @@ class TestRngStreams:
         fork_b = RngStreams(seed=3).fork("trial-2").get("x").random(5)
         assert (fork_a == fork_a_again).all()
         assert (fork_a != fork_b).any()
+
+
+class TestBufferedDraws:
+    """Buffered draws are the scalar draws, across chunk boundaries."""
+
+    N = 2 * DRAW_CHUNK + 7
+
+    def test_random_matches_scalar_calls(self):
+        scalar = RngStreams(seed=4).get("medium-loss")
+        draw = buffered_draws(RngStreams(seed=4).get("medium-loss").random)
+        assert [draw() for _ in range(self.N)] == [
+            scalar.random() for _ in range(self.N)
+        ]
+
+    def test_uniform_matches_scalar_calls(self):
+        scalar = RngStreams(seed=4).get("medium-backoff")
+        rng = RngStreams(seed=4).get("medium-backoff")
+        draw = buffered_draws(partial(rng.uniform, 0.0, 0.0004))
+        assert [draw() for _ in range(self.N)] == [
+            scalar.uniform(0.0, 0.0004) for _ in range(self.N)
+        ]

@@ -83,7 +83,7 @@ class TestCommands:
         assert "avg saved" in out
 
     def test_table_command_quick(self, capsys):
-        code = main(["table", "memory", "--quick", "--json"])
+        code = main(["table", "memory", "--quick", "--json", "--no-cache"])
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["experiment"] == "memory-footprint"
