@@ -569,8 +569,8 @@ def api001_public_annotations(ctx: ModuleContext) -> Iterator[RawFinding]:
     "OBS001",
     "telemetry through the Recorder facade",
     "Components must emit telemetry via repro.obs.Recorder "
-    "(event/span/inc/observe); direct TraceRecorder.record calls "
-    "bypass metrics and spans and fork the observability stream.",
+    "(event/span/counter/gauge/histogram); direct TraceRecorder.record "
+    "calls bypass metrics and spans and fork the observability stream.",
 )
 def obs001_recorder_facade(ctx: ModuleContext) -> Iterator[RawFinding]:
     for prefix in OBS_ALLOWED:

@@ -162,7 +162,9 @@ class HandoffCoordinator:
             from_cell=old.label, to_cell=new.label,
             transferred=transferred, dropped=dropped,
         )
-        self.obs.inc("campus.handoffs", client=client_ip, to_cell=new.label)
+        self.obs.counter(
+            "campus.handoffs", client=client_ip, to_cell=new.label
+        ).inc()
         self.obs.span(
             now, now + self.spec.latency_s, "handoff", f"client {client_ip}",
             from_cell=old.label, to_cell=new.label,

@@ -78,10 +78,6 @@ class MobilityModel:
         if self._rngs is not None:
             self.sim.process(self._run())
 
-    def cell_of(self, ip: str) -> int:
-        """Index of the cell ``ip`` is currently assigned to."""
-        return self._cell_of[ip]
-
     def residency(self) -> dict[str, tuple[tuple[float, str], ...]]:
         """Per-client residency timelines as ``(time, cell_label)`` steps."""
         return {
@@ -112,8 +108,7 @@ class MobilityModel:
                     from_cell=cell_label(current),
                     to_cell=cell_label(target),
                 )
-                self.obs.inc(
-                    "campus.roams",
-                    client=ip, to_cell=cell_label(target),
-                )
+                self.obs.counter(
+                    "campus.roams", client=ip, to_cell=cell_label(target),
+                ).inc()
                 self._on_roam(ip, current, target)

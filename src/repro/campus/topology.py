@@ -120,10 +120,3 @@ class CampusTopology:
             raise ConfigurationError(
                 "mobility needs at least two cells to roam between"
             )
-
-    @property
-    def trivial(self) -> bool:
-        """True when this topology is the legacy single-AP layout."""
-        return self.n_cells == 1 and (
-            self.mobility is None or not self.mobility.enabled
-        )

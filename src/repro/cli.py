@@ -273,6 +273,7 @@ def build_experiment_config(args):
     """Assemble an ExperimentConfig from the shared run/trace options."""
     from repro.experiments.runner import ExperimentConfig
 
+    _refuse_unrecorded_exports(args)
     quick = getattr(args, "quick", False)
     return ExperimentConfig(
         clients=parse_clients(args.clients),
@@ -294,19 +295,40 @@ def build_experiment_config(args):
     )
 
 
+def _refuse_unrecorded_exports(args) -> None:
+    """Refuse, before anything runs, an export the ``--obs`` mode does
+    not record."""
+    from repro.obs import OBS_MODES
+
+    keeps = OBS_MODES[args.obs]
+    if args.metrics_out and not keeps.metrics:
+        raise ConfigurationError(
+            f"--metrics-out needs an obs mode that keeps metrics, "
+            f"not {args.obs!r}"
+        )
+    for flag, path in (
+        ("--events-out", args.events_out), ("--trace-out", args.trace_out),
+    ):
+        if path and not keeps.events:
+            raise ConfigurationError(
+                f"{flag} needs an obs mode that keeps events, "
+                f"not {args.obs!r}"
+            )
+
+
 def _export_observability(result, args) -> None:
     """Write whichever observability artifacts were requested."""
     from pathlib import Path
 
     from repro.obs import chrome_trace_json, events_jsonl, metrics_json
 
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         Path(args.metrics_out).write_text(metrics_json(result.obs))
         print(f"wrote {args.metrics_out}")
-    if getattr(args, "events_out", None):
+    if args.events_out:
         Path(args.events_out).write_text(events_jsonl(result.obs))
         print(f"wrote {args.events_out}")
-    if getattr(args, "trace_out", None):
+    if args.trace_out:
         Path(args.trace_out).write_text(chrome_trace_json(result.obs))
         print(f"wrote {args.trace_out}")
 
@@ -365,9 +387,8 @@ def cmd_trace(args) -> int:
         args.trace_out = "trace.json"
     result = run_experiment(build_experiment_config(args))
     _export_observability(result, args)
-    events = len(result.obs.trace.all()) if result.obs.trace else 0
     print(
-        f"simulated {result.duration_s:.1f}s: {events} events, "
+        f"simulated {result.duration_s:.1f}s: {len(result.obs.trace)} events, "
         f"{len(result.obs.spans)} spans "
         f"(open the trace file in chrome://tracing or ui.perfetto.dev)"
     )
@@ -579,6 +600,7 @@ def cmd_loadtest(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.experiments.claims import commands
+    from repro.obs import OBS_MODES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -611,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="smoke sizing: cap duration at 6s and "
                                   "collapse the start stagger")
         command.add_argument(
-            "--obs", choices=("full", "trace", "metrics", "off"),
+            "--obs", choices=tuple(OBS_MODES),
             default="full",
             help="observability mode ('metrics' keeps counters but no "
                  "per-event rows — the 1k-client smoke mode)",

@@ -92,9 +92,9 @@ class Burster:
         self.node = node
         self.obs = obs if obs is not None else NULL_RECORDER
         self._controllers: dict[TcpConnection, MarkingController] = {}
-        #: Per client, the (``proxy.bursts``, ``proxy.burst_bytes``) and
-        #: the ``proxy.burst_fill_ratio`` handles, each resolved on first
-        #: use (see Recorder.resolve_*).
+        #: Per client, the (``proxy.bursts``, ``proxy.burst_bytes``)
+        #: counters and the ``proxy.burst_fill_ratio`` histogram, each
+        #: kept from first use.
         self._burst_counters: dict[str, tuple[Any, Any]] = {}
         self._fill_ratios: dict[str, Any] = {}
 
@@ -144,15 +144,15 @@ class Burster:
         counters = self._burst_counters.get(client)
         if counters is None:
             counters = self._burst_counters[client] = (
-                self.obs.resolve_counter("proxy.bursts", client=client),
-                self.obs.resolve_counter("proxy.burst_bytes", client=client),
+                self.obs.counter("proxy.bursts", client=client),
+                self.obs.counter("proxy.burst_bytes", client=client),
             )
         counters[0].inc()
         counters[1].inc(sent)
         if slot.bytes_allotted > 0:
             fill = self._fill_ratios.get(client)
             if fill is None:
-                fill = self._fill_ratios[client] = self.obs.resolve_histogram(
+                fill = self._fill_ratios[client] = self.obs.histogram(
                     "proxy.burst_fill_ratio", buckets=RATIO_BUCKETS,
                     client=client,
                 )

@@ -232,7 +232,7 @@ class ScheduleMachine(ClientMachine):
             )
         heard = self._heard_counter
         if heard is None:
-            heard = self._heard_counter = self.obs.resolve_counter(
+            heard = self._heard_counter = self.obs.counter(
                 "client.schedules_heard", client=self.client
             )
         heard.inc()
@@ -297,7 +297,9 @@ class ScheduleMachine(ClientMachine):
             if not got_mark:
                 self.marks_missed += 1
                 self.obs.event(now, "client.mark-missed", client=self.client)
-                self.obs.inc("client.marks_missed", client=self.client)
+                self.obs.counter(
+                    "client.marks_missed", client=self.client
+                ).inc()
         else:
             # An empty slot (reused schedule, drained queue): the no-show
             # window was wasted high-power time.
@@ -351,7 +353,7 @@ class ScheduleMachine(ClientMachine):
             if self.state == FALLBACK:
                 self.resyncs += 1
                 self.obs.event(now, "client.resync", client=self.client)
-                self.obs.inc("client.resyncs", client=self.client)
+                self.obs.counter("client.resyncs", client=self.client).inc()
             self.miss_recovery_s += now - self._recovery_start
         self._follow(heard, now)
 
@@ -371,7 +373,7 @@ class ScheduleMachine(ClientMachine):
             now, "client.schedule-missed", client=self.client,
             consecutive=self._consecutive,
         )
-        self.obs.inc("client.schedules_missed", client=self.client)
+        self.obs.counter("client.schedules_missed", client=self.client).inc()
         if self._consecutive >= self.fallback_after_misses:
             self.state = FALLBACK
             self.fallbacks += 1
@@ -379,7 +381,7 @@ class ScheduleMachine(ClientMachine):
                 now, "client.fallback", client=self.client,
                 misses=self._consecutive,
             )
-            self.obs.inc("client.fallbacks", client=self.client)
+            self.obs.counter("client.fallbacks", client=self.client).inc()
             self._listen(now, None)
             return
         self._predicted += self._schedule.interval

@@ -173,8 +173,7 @@ class SlotPlanner:
         self._silenced: set[str] = set()
         #: ``next_srp`` of the last schedule planned or replayed.
         self._planned_srp: Optional[float] = None
-        #: Per (instrument, client), the histogram handle, resolved on
-        #: first use (see Recorder.resolve_*).
+        #: Per (instrument, client), the histogram, kept from first use.
         self._histograms: dict[tuple[str, str], Any] = {}
 
     def plan(
@@ -196,11 +195,9 @@ class SlotPlanner:
         keep their bytes queued and age their deferral counter.
         """
         if self._planned_srp is not None:
-            self.obs.observe(
-                "scheduler.srp_lateness_s",
-                max(0.0, srp - self._planned_srp),
-                buckets=SECONDS_BUCKETS,
-            )
+            self.obs.histogram(
+                "scheduler.srp_lateness_s", SECONDS_BUCKETS
+            ).observe(max(0.0, srp - self._planned_srp))
         self._judge_silence(srp, last_heard)
         eligible, views = self._eligible(backlogs, channel_good)
         admitted = set(self.policy.admit(views))
@@ -251,7 +248,7 @@ class SlotPlanner:
         slot durations so the replay serves whatever is queued *now*."""
         self.seq += 1
         self.schedules_reused += 1
-        self.obs.inc("scheduler.schedules_reused")
+        self.obs.counter("scheduler.schedules_reused").inc()
         self._last_layout = None  # force a fresh broadcast next
         delta = schedule.interval
         self._planned_srp = schedule.next_srp + delta
@@ -331,7 +328,7 @@ class SlotPlanner:
         handle = self._histograms.get((name, client))
         if handle is None:
             handle = self._histograms[name, client] = (
-                self.obs.resolve_histogram(name, buckets=buckets, client=client)
+                self.obs.histogram(name, buckets=buckets, client=client)
             )
         return handle
 
@@ -351,12 +348,12 @@ class SlotPlanner:
                         now, "scheduler.reclaim", client=key,
                         silent_s=silent_s,
                     )
-                    obs.inc("scheduler.slots_reclaimed", client=key)
+                    obs.counter("scheduler.slots_reclaimed", client=key).inc()
             elif key in self._silenced:
                 self._silenced.discard(key)
                 self.slots_restored += 1
                 obs.event(now, "scheduler.restore", client=key)
-                obs.inc("scheduler.slots_restored", client=key)
+                obs.counter("scheduler.slots_restored", client=key).inc()
 
     def _record_admission(
         self, now: float, granted: int, deferred: Sequence[ClientView]
@@ -375,9 +372,9 @@ class SlotPlanner:
                 deferred=view.deferred,
                 channel="good" if view.channel_good else "bad",
             )
-            obs.inc("scheduler.policy_defers", client=view.key)
+            obs.counter("scheduler.policy_defers", client=view.key).inc()
         if granted:
-            obs.inc("scheduler.policy_grants", granted)
+            obs.counter("scheduler.policy_grants").inc(granted)
 
     def _longest_deferred(self, pending: list[Backlog]) -> list[Backlog]:
         """The clients whose slots fit the ceiling: longest-deferred

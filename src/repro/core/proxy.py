@@ -243,11 +243,6 @@ class TransparentProxy(Node):
         return kicked
 
     @property
-    def buffered_bytes(self) -> int:
-        """Total bytes currently buffered across all clients."""
-        return sum(queue.bytes_pending for queue in self._queues.values())
-
-    @property
     def peak_buffered_bytes(self) -> int:
         """High-water mark of simultaneous buffering (memory claim, §3.2.2)."""
         return sum(queue.peak_bytes for queue in self._queues.values())
@@ -268,7 +263,7 @@ class TransparentProxy(Node):
             seq=schedule.seq, slots=len(schedule.slots),
             interval=schedule.interval,
         )
-        self.obs.inc("proxy.schedules_broadcast")
+        self.obs.counter("proxy.schedules_broadcast").inc()
 
     # -- interception (the IPQ analog) -----------------------------------------------
 

@@ -10,7 +10,7 @@ optimum of §4.3.
 """
 
 from repro.energy.analyzer import EnergyAnalyzer
-from repro.energy.model import EnergyBreakdown, integrate_intervals
+from repro.energy.model import EnergyBreakdown, client_breakdowns
 from repro.energy.optimal import optimal_energy_saved_pct
 from repro.energy.report import ClientReport, ExperimentSummary, summarize
 
@@ -19,7 +19,7 @@ __all__ = [
     "EnergyAnalyzer",
     "EnergyBreakdown",
     "ExperimentSummary",
-    "integrate_intervals",
+    "client_breakdowns",
     "optimal_energy_saved_pct",
     "summarize",
 ]

@@ -8,8 +8,7 @@ function evaluated by ``numpy.interp`` — O((n+m) log(n+m)) and fully
 vectorized, per the HPC guide's "vectorize the hot loop" advice (traces
 contain tens of thousands of frames). :func:`client_breakdowns` prices
 a client's aware and naive card from one merge of each direction's
-airtime; :func:`integrate_intervals` and :func:`naive_breakdown` run on
-the same code.
+airtime.
 """
 
 from __future__ import annotations
@@ -57,7 +56,11 @@ def _validate_intervals(intervals: Sequence[Interval], label: str) -> np.ndarray
 
 
 def _cumulative(array: np.ndarray) -> Callable[[object], np.ndarray]:
-    """:func:`cumulative_time_fn` of an already validated ``(n, 2)`` array."""
+    """F where F(t) is the total time ``array`` covers before t.
+
+    ``array`` is a validated ``(n, 2)`` array of sorted, disjoint
+    intervals (awake intervals from a WNIC log always are).
+    """
     if array.size == 0:
         return lambda t: np.zeros_like(np.asarray(t, dtype=float))
     edges = array.reshape(-1)  # start0, end0, start1, end1, ...
@@ -72,17 +75,6 @@ def _cumulative(array: np.ndarray) -> Callable[[object], np.ndarray]:
     return fn
 
 
-def cumulative_time_fn(
-    intervals: Sequence[Interval],
-) -> Callable[[object], np.ndarray]:
-    """Return F where F(t) = total time covered by ``intervals`` before t.
-
-    ``intervals`` must be sorted and disjoint (awake intervals from a
-    WNIC log always are).
-    """
-    return _cumulative(_validate_intervals(intervals, "base"))
-
-
 def _covered(fn: Callable[[object], np.ndarray], merged: np.ndarray) -> float:
     """Time that ``fn``'s intervals cover inside ``merged`` (sorted,
     disjoint)."""
@@ -92,20 +84,6 @@ def _covered(fn: Callable[[object], np.ndarray], merged: np.ndarray) -> float:
     # as one call per column.
     at = fn(merged)
     return float((at[:, 1] - at[:, 0]).sum())
-
-
-def overlap_total(
-    base: Sequence[Interval], queries: Sequence[Interval]
-) -> float:
-    """Total overlap between ``base`` (sorted, disjoint) and ``queries``.
-
-    ``queries`` may overlap each other; overlapping query intervals are
-    merged first so shared airtime is not double counted.
-    """
-    merged = merge_intervals(queries)
-    if merged.size == 0:
-        return 0.0
-    return _covered(cumulative_time_fn(base), merged)
 
 
 def intersect_intervals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,7 +141,7 @@ def _integrate(
     power: PowerModel,
 ) -> EnergyBreakdown:
     """The breakdown from validated awake intervals and the merged
-    receive and transmit airtime (see :func:`integrate_intervals`)."""
+    receive and transmit airtime (see :func:`client_breakdowns`)."""
     awake_total = float((awake[:, 1] - awake[:, 0]).sum()) if awake.size else 0.0
     awake_fn = _cumulative(awake)
     receive_s = _covered(awake_fn, rx)
@@ -191,58 +169,6 @@ def _integrate(
     )
 
 
-def _checked_awake(awake: Sequence[Interval], duration_s: float) -> np.ndarray:
-    """The validated awake intervals of a run of ``duration_s``."""
-    if duration_s < 0:
-        raise TraceError(f"negative duration: {duration_s}")
-    return _validate_intervals(awake, "awake")
-
-
-def integrate_intervals(
-    awake: Sequence[Interval],
-    rx_frames: Sequence[Interval],
-    tx_frames: Sequence[Interval],
-    duration_s: float,
-    wake_count: int,
-    power: PowerModel,
-) -> EnergyBreakdown:
-    """Account one client's energy from its awake/rx/tx intervals.
-
-    Receive residency only counts where it overlaps awake time (a
-    sleeping card cannot hear the medium). Transmit residency counts in
-    full: the card wakes itself to send (e.g. TCP ACKs or receiver
-    reports fired while the daemon sleeps), so transmit time outside
-    the daemon's awake windows is charged at transmit power and
-    subtracted from sleep time.
-    """
-    return _integrate(
-        _checked_awake(awake, duration_s),
-        merge_intervals(rx_frames),
-        merge_intervals(tx_frames),
-        duration_s,
-        wake_count,
-        power,
-    )
-
-
-def naive_breakdown(
-    rx_frames: Sequence[Interval],
-    tx_frames: Sequence[Interval],
-    duration_s: float,
-    power: PowerModel,
-) -> EnergyBreakdown:
-    """The naive client: awake for the whole trace, hears every frame."""
-    whole = [(0.0, duration_s)]
-    return integrate_intervals(
-        awake=whole,
-        rx_frames=rx_frames,
-        tx_frames=tx_frames,
-        duration_s=duration_s,
-        wake_count=0,
-        power=power,
-    )
-
-
 def client_breakdowns(
     awake: Sequence[Interval],
     rx_frames: Sequence[Interval],
@@ -251,10 +177,21 @@ def client_breakdowns(
     wake_count: int,
     power: PowerModel,
 ) -> tuple[EnergyBreakdown, EnergyBreakdown]:
-    """One client's :func:`integrate_intervals` and :func:`naive_breakdown`
-    breakdowns, equal to theirs field for field, from one merge of its
-    receive and one of its transmit airtime."""
-    checked = _checked_awake(awake, duration_s)
+    """One client's energy from its awake, rx and tx intervals: the
+    power-aware card's breakdown, then the naive card's, which is awake
+    for the whole run and never wakes up.
+
+    Receive residency only counts where it overlaps awake time (a
+    sleeping card cannot hear the medium). Transmit residency counts in
+    full: the card wakes itself to send (e.g. TCP ACKs or receiver
+    reports fired while the daemon sleeps), so transmit time outside
+    the daemon's awake windows is charged at transmit power and
+    subtracted from sleep time. Each direction's airtime is merged
+    once, for both breakdowns.
+    """
+    if duration_s < 0:
+        raise TraceError(f"negative duration: {duration_s}")
+    checked = _validate_intervals(awake, "awake")
     whole = _validate_intervals([(0.0, duration_s)], "awake")
     rx = merge_intervals(rx_frames)
     tx = merge_intervals(tx_frames)

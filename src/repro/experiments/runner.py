@@ -109,9 +109,7 @@ class ExperimentConfig:
     #: False reproduces the paper's postmortem mode: clients receive
     #: even while "asleep", and drops are computed offline (§4.3).
     enforce_sleep_drops: bool = True
-    #: Observability mode: "full", "trace" (rows only), "metrics"
-    #: (counters only — the 1k-client smoke mode), or "off"
-    #: (NullRecorder).
+    #: Observability mode, a key of :data:`repro.obs.OBS_MODES`.
     obs_mode: str = "full"
 
     def __post_init__(self) -> None:
@@ -195,10 +193,8 @@ class ExperimentResult:
     handoffs: int = 0
     handoff_bytes_transferred: int = 0
     handoff_bytes_dropped: int = 0
-    #: Deterministic metrics snapshot (None unless obs_mode is "full"
-    #: or "metrics").
-    metrics: Optional[dict] = None
-    #: The run's recorder, for exporting events/timelines postmortem.
+    #: The run's recorder, which holds its events, spans and metrics
+    #: for export postmortem.
     obs: Recorder = NULL_RECORDER
 
     @property
@@ -494,28 +490,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     # -- final observability rollups ----------------------------------------
     obs = scenario.obs
-    obs.gauge_set("sim.duration_s", sim.now)
+    obs.gauge("sim.duration_s").set(sim.now)
     for handle in scenario.clients:
         awake = handle.wnic.awake_time(sim.now)
-        obs.gauge_set(
-            "wnic.residency_s", awake,
-            client=handle.node.ip, state="awake",
+        ip = handle.node.ip
+        obs.gauge("wnic.residency_s", client=ip, state="awake").set(awake)
+        obs.gauge("wnic.residency_s", client=ip, state="sleep").set(
+            sim.now - awake
         )
-        obs.gauge_set(
-            "wnic.residency_s", sim.now - awake,
-            client=handle.node.ip, state="sleep",
-        )
-        obs.gauge_set(
-            "wnic.wake_count", handle.wnic.wake_count,
-            client=handle.node.ip,
-        )
+        obs.gauge("wnic.wake_count", client=ip).set(handle.wnic.wake_count)
     for reason, count in sorted(drop_totals.items()):
-        obs.inc("drops", count, reason=reason)
-    metrics = (
-        obs.metrics.snapshot()
-        if obs.metrics is not None and getattr(obs, "record_metrics", False)
-        else None
-    )
+        obs.counter("drops", reason=reason).inc(count)
     planners = [
         sched.planner for sched in schedulers
         if isinstance(sched, DynamicScheduler)
@@ -570,6 +555,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if scenario.handoff is not None
             else 0
         ),
-        metrics=metrics,
         obs=obs,
     )

@@ -32,7 +32,7 @@ from repro.errors import ConfigurationError
 from repro.net.node import Node
 from repro.net.packet import reset_packet_ids
 from repro.net.sniffer import MonitoringStation
-from repro.obs import NULL_RECORDER, Recorder, SimRecorder, TraceRecorder
+from repro.obs import NULL_RECORDER, OBS_MODES, Recorder, SimRecorder
 from repro.sim import RngStreams, Simulator
 from repro.sim.random import buffered_draws
 from repro.units import mbps, ms
@@ -75,11 +75,8 @@ class ScenarioConfig:
     #: on exclusive ``channel*`` streams: installing one never perturbs
     #: fault-plan or backoff replays.
     channel: Optional[ChannelPlan] = None
-    #: Observability mode: "full" (trace + metrics + spans), "trace"
-    #: (trace rows only, the pre-obs baseline), "metrics" (metrics only
-    #: — no per-event trace rows, the 1k-client smoke mode), or "off"
-    #: (NullRecorder; no trace, no metrics — postmortem analysis
-    #: degrades gracefully).
+    #: Observability mode, a key of :data:`repro.obs.OBS_MODES`; "off"
+    #: records through the shared NullRecorder.
     obs_mode: str = "full"
     #: Optional multi-cell campus layout (see repro.campus). None — or
     #: a trivial topology — builds the legacy single-AP testbed
@@ -162,20 +159,12 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
     reset_packet_ids()
     sim = Simulator()
     streams = RngStreams(seed=config.seed)
-    if config.obs_mode == "full":
-        recorder: Recorder = SimRecorder(trace=TraceRecorder())
-    elif config.obs_mode == "trace":
-        recorder = SimRecorder(
-            trace=TraceRecorder(), record_metrics=False, record_spans=False
-        )
-    elif config.obs_mode == "metrics":
-        recorder = SimRecorder(
-            trace=TraceRecorder(), record_events=False, record_spans=False
-        )
-    elif config.obs_mode == "off":
-        recorder = NULL_RECORDER
-    else:
+    keeps = OBS_MODES.get(config.obs_mode)
+    if keeps is None:
         raise ConfigurationError(f"unknown obs_mode: {config.obs_mode!r}")
+    recorder: Recorder = (
+        SimRecorder(config.obs_mode) if any(keeps) else NULL_RECORDER
+    )
     counters = FaultCounters()
 
     #: Per-cell initial client partition (round-robin by index).

@@ -31,13 +31,6 @@ class FaultCounters:
         """All counters, sorted by key (a copy; safe to mutate)."""
         return dict(sorted(self._counts.items()))
 
-    def total(self, prefix: str = "") -> int:
-        """Sum of every counter whose key starts with ``prefix``."""
-        return sum(
-            count for key, count in self._counts.items()
-            if key.startswith(prefix)
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
         return f"FaultCounters({inner})"

@@ -119,10 +119,10 @@ class AccessPoint(Node):
                 self.max_downlink_depth = depth
             hist = self._depth_hist
             if hist is None:
-                hist = self._depth_hist = self.obs.resolve_histogram(
+                hist = self._depth_hist = self.obs.histogram(
                     "ap.downlink_depth", buckets=DEPTH_BUCKETS, ap=self.name
                 )
-                self._max_depth_gauge = self.obs.resolve_gauge(
+                self._max_depth_gauge = self.obs.gauge(
                     "ap.max_downlink_depth", ap=self.name
                 )
             hist.observe(depth)

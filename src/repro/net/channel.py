@@ -154,10 +154,10 @@ class ChannelModel:
                 at, "channel.transition",
                 client=ip, state="bad" if bad else "good",
             )
-            self.obs.inc(
+            self.obs.counter(
                 "channel.transitions",
                 client=ip, to="bad" if bad else "good",
-            )
+            ).inc()
             if bad:
                 state.bad_since = at
             else:

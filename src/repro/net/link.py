@@ -97,11 +97,6 @@ class Link:
         self._ifaces: Optional[tuple[Interface, Interface]] = None
         self._directions: dict[Interface, _Direction] = {}
 
-    @property
-    def packets_dropped(self) -> int:
-        """Packets this link's drop hook discarded."""
-        return self.counters.get(self.drop_key)
-
     def attach(self, iface_a: Interface, iface_b: Interface) -> "Link":
         """Connect the two endpoints of this link.
 

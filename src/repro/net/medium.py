@@ -90,8 +90,8 @@ class WirelessMedium:
         #: events and miss counters carry a ``cell`` label.
         self.cell = ""
         self._cell_fields: dict[str, str] = {}
-        #: Per-proto (frames counter, frame-bytes histogram) handles,
-        #: resolved on first use (see Recorder.resolve_*).
+        #: Per-proto (frames counter, frame-bytes histogram) instruments,
+        #: kept from first use.
         self._frame_handles: dict[str, tuple] = {}
         self._gateway: Optional[Interface] = None
         self._queue: deque[tuple[Interface, Packet]] = deque()
@@ -296,10 +296,10 @@ class WirelessMedium:
         handles = self._frame_handles.get(packet.proto)
         if handles is None:
             handles = (
-                obs.resolve_counter(
+                obs.counter(
                     "medium.frames", proto=packet.proto, **self._cell_fields
                 ),
-                obs.resolve_histogram(
+                obs.histogram(
                     "medium.frame_bytes", buckets=BYTES_BUCKETS,
                     proto=packet.proto, **self._cell_fields,
                 ),
@@ -380,6 +380,6 @@ class WirelessMedium:
             packet_id=packet.packet_id,
             **self._cell_fields,
         )
-        self.obs.inc(
+        self.obs.counter(
             "medium.misses", dst=dst_ip, cause=cause, **self._cell_fields,
-        )
+        ).inc()

@@ -27,6 +27,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.recorder import (
     NULL_RECORDER,
+    OBS_MODES,
     NullRecorder,
     Recorder,
     SimRecorder,
@@ -39,6 +40,7 @@ __all__ = [
     "BYTES_BUCKETS",
     "DEPTH_BUCKETS",
     "NULL_RECORDER",
+    "OBS_MODES",
     "RATIO_BUCKETS",
     "SECONDS_BUCKETS",
     "Counter",

@@ -73,7 +73,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (or be set outright)."""
+    """A value that is set outright, so it can go up and down."""
 
     __slots__ = ("name", "labels", "value")
 
@@ -85,10 +85,6 @@ class Gauge:
     def set(self, value: Number) -> None:
         """Replace the gauge value."""
         self.value = value
-
-    def add(self, delta: Number) -> None:
-        """Shift the gauge by ``delta``."""
-        self.value += delta
 
 
 class Histogram:

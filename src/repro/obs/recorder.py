@@ -9,25 +9,46 @@ Every component records through a :class:`Recorder`:
 * :meth:`Recorder.span` — a ``[start, end)`` interval (burst slots,
   schedule intervals, WNIC awake stretches) feeding the Chrome-trace /
   Perfetto exporter;
-* :meth:`Recorder.inc` / :meth:`Recorder.gauge_set` /
-  :meth:`Recorder.observe` — metrics instruments.
+* :meth:`Recorder.counter` / :meth:`Recorder.gauge` /
+  :meth:`Recorder.histogram` — the metrics instrument for a name and
+  label set, which the caller updates (``inc``, ``set``, ``observe``).
 
-The ``OBS001`` analysis rule forbids calling ``TraceRecorder.record``
-directly anywhere outside this package, so the recorder is the one
-funnel all observability flows through. :class:`NullRecorder` keeps the
-hooks nearly free when observability is off (the overhead bench in
-``benchmarks/test_bench_obs_overhead.py`` holds it under 5%), and a hot
-call site builds an event's fields or a span only when
-:attr:`Recorder.record_events` or :attr:`Recorder.record_spans` says
-the recorder keeps it.
+:data:`OBS_MODES` says what a recorder keeps in each observability
+mode. The ``OBS001`` analysis rule forbids calling
+``TraceRecorder.record`` directly anywhere outside this package, so the
+recorder is the one funnel all observability flows through.
+:class:`NullRecorder` keeps the hooks nearly free when observability is
+off (the overhead bench in ``benchmarks/test_bench_obs_overhead.py``
+holds it under 5%), and a hot call site builds an event's fields or a
+span only when :attr:`Recorder.record_events` or
+:attr:`Recorder.record_spans` says the recorder keeps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 from repro.obs.metrics import MetricsRegistry
+
+
+class ObsMode(NamedTuple):
+    """What a recorder in one observability mode keeps."""
+
+    events: bool
+    spans: bool
+    metrics: bool
+
+
+#: The observability modes: ``full`` keeps everything, ``trace`` the
+#: event rows only (the pre-obs baseline), ``metrics`` the instruments
+#: only (the 1k-client smoke mode) and ``off`` nothing.
+OBS_MODES: dict[str, ObsMode] = {
+    "full": ObsMode(events=True, spans=True, metrics=True),
+    "trace": ObsMode(events=True, spans=False, metrics=False),
+    "metrics": ObsMode(events=False, spans=False, metrics=True),
+    "off": ObsMode(events=False, spans=False, metrics=False),
+}
 
 
 class TraceRecord:
@@ -47,14 +68,11 @@ class TraceRecord:
     __slots__ = ("time", "category", "fields")
 
     def __init__(
-        self,
-        time: float,
-        category: str,
-        fields: Optional[dict[str, Any]] = None,
+        self, time: float, category: str, fields: dict[str, Any]
     ) -> None:
         self.time = time
         self.category = category
-        self.fields = {} if fields is None else fields
+        self.fields = fields
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -72,21 +90,14 @@ class TraceRecorder:
     def __len__(self) -> int:
         return len(self._records)
 
-    def record(self, time: float, category: str, **fields: Any) -> TraceRecord:
-        """Append a record and return it."""
-        row = TraceRecord(time, category, fields)
-        self._records.append(row)
-        return row
-
-    def record_fields(
+    def record(
         self, time: float, category: str, fields: dict[str, Any]
     ) -> None:
-        """Append a record taking ownership of an existing ``fields`` dict.
+        """Append a record taking ownership of ``fields``.
 
-        The hot-path sibling of :meth:`record`: the recorder already
-        collected the event's fields as a kwargs dict, so re-splatting
-        them through ``**fields`` would build the same dict twice per
-        event. The caller must not mutate ``fields`` afterwards.
+        The recorder already collected the event's fields as a kwargs
+        dict, so the row keeps that dict rather than building the same
+        one again. The caller must not mutate ``fields`` afterwards.
         """
         self._records.append(TraceRecord(time, category, fields))
 
@@ -94,38 +105,22 @@ class TraceRecorder:
         """Every record in insertion (and therefore time) order."""
         return tuple(self._records)
 
-    def query(
-        self,
-        category: Optional[str] = None,
-        predicate: Optional[Callable[[TraceRecord], bool]] = None,
-        since: float = float("-inf"),
-        until: float = float("inf"),
-    ) -> Iterator[TraceRecord]:
-        """Iterate records matching the given filters.
-
-        Args:
-            category: exact category, or a prefix ending in ``"."`` to
-                match a whole namespace, or None for all categories.
-            predicate: optional extra row filter.
-            since: inclusive lower time bound.
-            until: exclusive upper time bound.
-        """
+    def query(self, category: Optional[str] = None) -> Iterator[TraceRecord]:
+        """Iterate the records of ``category``: an exact category, a
+        prefix ending in ``"."`` to match a whole namespace, or None
+        for all of them."""
         for row in self._records:
-            if not since <= row.time < until:
-                continue
             if category is not None:
                 if category.endswith("."):
                     if not row.category.startswith(category):
                         continue
                 elif row.category != category:
                     continue
-            if predicate is not None and not predicate(row):
-                continue
             yield row
 
     def count(self, category: Optional[str] = None) -> int:
         """Number of records matching ``category`` (same rules as query)."""
-        return sum(1 for _ in self.query(category=category))
+        return sum(1 for _ in self.query(category))
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,15 +145,12 @@ class _NullInstrument:
     def set(self, value: float) -> None:
         pass
 
-    def add(self, delta: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
 
-#: Shared no-op instrument returned by handle resolution when metrics
-#: are off; callers can cache and update it unconditionally.
+#: Shared no-op instrument a recorder hands out when it keeps no
+#: metrics; callers can cache and update it unconditionally.
 NULL_INSTRUMENT = _NullInstrument()
 
 
@@ -170,11 +162,19 @@ class Recorder:
     WNIC transition or per slot read them and build an event's fields
     or a span only when it is kept; a sink that leaves them ``False``
     never sees those rows.
+
+    Metrics are written through the instrument :meth:`counter`,
+    :meth:`gauge` or :meth:`histogram` hands out. Per-packet and
+    per-client call sites (the medium's frame accounting, the AP's
+    queue-depth gauge, and each client's WNIC, schedule, burst and
+    scheduler instruments) keep the instrument they get on first use
+    and skip the per-call label canonicalization and registry lookup.
+    A recorder that keeps no metrics hands out a shared no-op.
     """
 
-    #: The wrapped raw trace log, if any (the event exports read it).
+    #: The raw trace log, if events are kept (the event exports read it).
     trace: Optional[TraceRecorder] = None
-    #: The metrics registry, if metrics are being collected.
+    #: The metrics registry, if metrics are kept.
     metrics: Optional[MetricsRegistry] = None
     #: Whether :meth:`event` keeps its rows.
     record_events: bool = False
@@ -190,47 +190,19 @@ class Recorder:
     ) -> None:
         """Record a completed interval on ``track``."""
 
-    def inc(self, name: str, n: float = 1, **labels: Any) -> None:
-        """Bump a counter."""
-
-    def gauge_set(self, name: str, value: float, **labels: Any) -> None:
-        """Set a gauge."""
-
-    def observe(
-        self,
-        name: str,
-        value: float,
-        buckets: Optional[tuple[float, ...]] = None,
-        **labels: Any,
-    ) -> None:
-        """Record one histogram observation."""
-
-    # -- resolved handles --------------------------------------------------
-    #
-    # Per-packet and per-client call sites (the medium's frame
-    # accounting, the AP's queue-depth gauge, and each client's WNIC,
-    # schedule, burst and scheduler instruments) resolve their
-    # instrument once, on first use, and update the returned handle
-    # directly, skipping the per-call label canonicalization and
-    # registry lookup. The handles still come from
-    # the recorder, so observability stays funneled through this class
-    # and turning metrics off yields free no-op handles.
-
-    def resolve_counter(self, name: str, **labels: Any) -> Any:
-        """A cacheable counter handle (no-op when metrics are off)."""
+    def counter(self, name: str, **labels: Any) -> Any:
+        """The counter for ``(name, labels)``."""
         return NULL_INSTRUMENT
 
-    def resolve_gauge(self, name: str, **labels: Any) -> Any:
-        """A cacheable gauge handle (no-op when metrics are off)."""
+    def gauge(self, name: str, **labels: Any) -> Any:
+        """The gauge for ``(name, labels)``."""
         return NULL_INSTRUMENT
 
-    def resolve_histogram(
-        self,
-        name: str,
-        buckets: Optional[tuple[float, ...]] = None,
-        **labels: Any,
+    def histogram(
+        self, name: str, buckets: tuple[float, ...], **labels: Any
     ) -> Any:
-        """A cacheable histogram handle (no-op when metrics are off)."""
+        """The histogram for ``(name, labels)`` with upper bounds
+        ``buckets``."""
         return NULL_INSTRUMENT
 
     @property
@@ -256,39 +228,23 @@ NULL_RECORDER = NullRecorder()
 
 
 class SimRecorder(Recorder):
-    """The real sink: trace rows + spans + metrics.
+    """The real sink: keeps what ``mode`` (a key of :data:`OBS_MODES`)
+    keeps. A mode that keeps no events holds no trace log, and one that
+    keeps no metrics holds no registry."""
 
-    Args:
-        trace: raw event log to append to (created when omitted).
-        metrics: shared registry (created when omitted).
-        record_metrics: when False, ``inc``/``gauge_set``/``observe``
-            become no-ops (trace-only mode, the pre-obs baseline).
-        record_spans: when False, ``span`` becomes a no-op.
-        record_events: when False, ``event`` becomes a no-op
-            (metrics-only mode — large campus runs keep counters
-            without accumulating per-event trace rows).
-    """
-
-    def __init__(
-        self,
-        trace: Optional[TraceRecorder] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        record_metrics: bool = True,
-        record_spans: bool = True,
-        record_events: bool = True,
-    ) -> None:
-        self.trace = trace if trace is not None else TraceRecorder()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.record_metrics = record_metrics
-        self.record_spans = record_spans
-        self.record_events = record_events
+    def __init__(self, mode: str = "full") -> None:
+        keeps = OBS_MODES[mode]
+        self.record_events = keeps.events
+        self.record_spans = keeps.spans
+        self.trace = TraceRecorder() if keeps.events else None
+        self.metrics = MetricsRegistry() if keeps.metrics else None
         self._spans: list[SpanRecord] = []
 
     # -- events ------------------------------------------------------------
 
     def event(self, time: float, category: str, **fields: Any) -> None:
         if self.record_events:
-            self.trace.record_fields(time, category, fields)
+            self.trace.record(time, category, fields)
 
     def span(
         self, start: float, end: float, name: str, track: str,
@@ -308,42 +264,19 @@ class SimRecorder(Recorder):
 
     # -- metrics -----------------------------------------------------------
 
-    def inc(self, name: str, n: float = 1, **labels: Any) -> None:
-        if self.record_metrics:
-            self.metrics.counter(name, **labels).inc(n)
-
-    def gauge_set(self, name: str, value: float, **labels: Any) -> None:
-        if self.record_metrics:
-            self.metrics.gauge(name, **labels).set(value)
-
-    def observe(
-        self,
-        name: str,
-        value: float,
-        buckets: Optional[tuple[float, ...]] = None,
-        **labels: Any,
-    ) -> None:
-        if self.record_metrics:
-            self.metrics.histogram(name, buckets=buckets, **labels).observe(
-                value
-            )
-
-    def resolve_counter(self, name: str, **labels: Any) -> Any:
-        if not self.record_metrics:
+    def counter(self, name: str, **labels: Any) -> Any:
+        if self.metrics is None:
             return NULL_INSTRUMENT
         return self.metrics.counter(name, **labels)
 
-    def resolve_gauge(self, name: str, **labels: Any) -> Any:
-        if not self.record_metrics:
+    def gauge(self, name: str, **labels: Any) -> Any:
+        if self.metrics is None:
             return NULL_INSTRUMENT
         return self.metrics.gauge(name, **labels)
 
-    def resolve_histogram(
-        self,
-        name: str,
-        buckets: Optional[tuple[float, ...]] = None,
-        **labels: Any,
+    def histogram(
+        self, name: str, buckets: tuple[float, ...], **labels: Any
     ) -> Any:
-        if not self.record_metrics:
+        if self.metrics is None:
             return NULL_INSTRUMENT
         return self.metrics.histogram(name, buckets=buckets, **labels)

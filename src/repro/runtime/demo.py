@@ -13,7 +13,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
-from repro.energy.model import integrate_intervals, naive_breakdown
+from repro.energy.model import client_breakdowns
 from repro.runtime.client import AsyncPowerClient
 from repro.runtime.origin import SpeedTestOrigin
 from repro.runtime.proxy import AsyncProxy, AsyncProxyConfig
@@ -28,11 +28,10 @@ def estimated_savings_pct(wnic: Wnic, end: float) -> float:
     counts as idle."""
     if end <= 0:
         return 0.0
-    spent = integrate_intervals(
+    spent, naive = client_breakdowns(
         wnic.awake_intervals(end), [], [], end, wnic.wake_count,
         WAVELAN_2_4GHZ,
     )
-    naive = naive_breakdown([], [], end, WAVELAN_2_4GHZ)
     return 100.0 * (1.0 - spent.energy_j / naive.energy_j)
 
 

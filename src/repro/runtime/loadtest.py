@@ -28,7 +28,7 @@ from typing import Optional
 
 from repro.errors import OverloadError, ProxyProtocolError, ReproError
 from repro.faults.plan import FaultPlan
-from repro.obs import Recorder, SimRecorder
+from repro.obs import NULL_RECORDER, Recorder
 from repro.runtime.chaos import ChaosShim
 from repro.runtime.client import AsyncPowerClient
 from repro.runtime.origin import SpeedTestOrigin
@@ -93,11 +93,9 @@ class LoadTestReport:
     evictions: int
     slots_reclaimed: int
     chaos_dropped: int
-    #: Canonical obs metrics snapshot (same instrument names as the sim).
-    metrics: dict
 
     def summary_rows(self) -> list[dict]:
-        """Flat rows for the CLI table (metrics snapshot omitted)."""
+        """Flat rows for the CLI table."""
         return [{
             "clients": self.clients,
             "requests": self.requests_total,
@@ -161,19 +159,19 @@ def _broadcast_jitter(times: list[float], interval_s: float) -> list[float]:
 
 async def run_loadtest(
     config: Optional[LoadTestConfig] = None,
-    obs: Optional[Recorder] = None,
+    obs: Recorder = NULL_RECORDER,
 ) -> LoadTestReport:
-    """Run one load test; returns the measured report."""
+    """Run one load test; returns the measured report. The proxy and
+    clients record into ``obs``, which keeps nothing unless given."""
     config = config or LoadTestConfig()
-    recorder = obs if obs is not None else SimRecorder()
     proxy_config = config.proxy
 
     origin = SpeedTestOrigin(pace_s=config.origin_pace_s)
     origin_port = await origin.start()
-    proxy = AsyncProxy(proxy_config, obs=recorder)
+    proxy = AsyncProxy(proxy_config, obs=obs)
     await proxy.start()
     clients = [
-        AsyncPowerClient(f"lt-{i}", obs=recorder)
+        AsyncPowerClient(f"lt-{i}", obs=obs)
         for i in range(config.clients)
     ]
     for client in clients:
@@ -222,9 +220,6 @@ async def run_loadtest(
         await origin.stop()
 
     total = outcomes["ok"] + outcomes["failed"] + outcomes["overloaded"]
-    metrics = (
-        recorder.metrics.snapshot() if recorder.metrics is not None else {}
-    )
     return LoadTestReport(
         clients=config.clients,
         requests_total=total,
@@ -251,5 +246,4 @@ async def run_loadtest(
         evictions=proxy.evictions,
         slots_reclaimed=proxy.planner.slots_reclaimed,
         chaos_dropped=shim.dropped_total if shim is not None else 0,
-        metrics=metrics,
     )

@@ -44,11 +44,6 @@ class SpeedTestOrigin:
         self._writers: set[asyncio.StreamWriter] = set()
         self._tasks: set[asyncio.Task] = set()
 
-    @property
-    def alive(self) -> bool:
-        """True while the listener is accepting connections."""
-        return self._server is not None and self._server.is_serving()
-
     async def start(self) -> int:
         """Bind the listener; returns the bound port."""
         if self._server is not None:

@@ -341,7 +341,7 @@ class AsyncProxy:
     def _on_service_restart(self, name: str, exc: BaseException) -> None:
         if name == "scheduler":
             self.scheduler_restarts += 1
-        self.obs.inc("runtime.service_restarts", service=name)
+        self.obs.counter("runtime.service_restarts", service=name).inc()
 
     # -- time ----------------------------------------------------------------
 
@@ -384,13 +384,13 @@ class AsyncProxy:
             return
         parsed = self._parse_connect(header)
         if parsed is None:
-            self.obs.inc("drops", reason="bad-connect")
+            self.obs.counter("drops", reason="bad-connect").inc()
             await self._refuse(writer, "bad-connect")
             return
         host, port, client_id, control_port = parsed
         refusal = self._admission_refusal(client_id)
         if refusal is not None:
-            self.obs.inc("drops", reason="overload")
+            self.obs.counter("drops", reason="overload").inc()
             await self._refuse(writer, refusal)
             return
         try:
@@ -400,7 +400,7 @@ class AsyncProxy:
         except SocketError:
             # Ghost-client fix: nothing was registered yet, so a failed
             # dial leaves no phantom registration behind.
-            self.obs.inc("drops", reason="origin-unreachable")
+            self.obs.counter("drops", reason="origin-unreachable").inc()
             await self._refuse(writer, "origin-unreachable")
             return
         state = self._register(client_id, control_port)
@@ -481,7 +481,7 @@ class AsyncProxy:
         last: Optional[BaseException] = None
         for attempt in range(DIAL_RETRIES + 1):
             if attempt:
-                self.obs.inc("runtime.dial_retries")
+                self.obs.counter("runtime.dial_retries").inc()
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2.0, DIAL_BACKOFF_MAX_S)
             try:
@@ -615,7 +615,7 @@ class AsyncProxy:
         conn.closed = True
         self._connections.discard(conn)
         conn.state.connections = max(0, conn.state.connections - 1)
-        self.obs.inc("drops", reason=reason)
+        self.obs.counter("drops", reason=reason).inc()
         for task in conn.tasks:
             if task is not asyncio.current_task():
                 task.cancel()
@@ -650,12 +650,12 @@ class AsyncProxy:
             conn.queued_chunks -= 1
             self._account_pop(len(data))
         if dropped:
-            self.obs.inc("drops", len(dropped), reason="evicted")
+            self.obs.counter("drops", reason="evicted").inc(len(dropped))
         for conn in list(self._connections):
             if conn.state is state:
                 self._abort_conn(conn, "evicted")
         state.release()
-        self.obs.inc("runtime.evictions", client=client_id)
+        self.obs.counter("runtime.evictions", client=client_id).inc()
         self.obs.event(
             self._now(), "runtime.evict", client=client_id, silent_s=silent_s,
         )
@@ -671,7 +671,7 @@ class AsyncProxy:
             self._broadcast(schedule)
             self.broadcast_times.append(broadcast_at)
             self.schedules_sent += 1
-            self.obs.inc("proxy.schedules_broadcast")
+            self.obs.counter("proxy.schedules_broadcast").inc()
             self.obs.span(
                 schedule.srp, schedule.next_srp, "interval", "proxy",
                 seq=schedule.seq, slots=len(schedule.slots),
@@ -684,7 +684,7 @@ class AsyncProxy:
                 # _build_schedule and its burst; skip it, never KeyError.
                 state = self._clients.get(slot.client_ip)
                 if state is None:
-                    self.obs.inc("drops", reason="vanished")
+                    self.obs.counter("drops", reason="vanished").inc()
                     continue
                 self.planner.slot_started(slot, self._now())
                 await self._burst(state, schedule.seq)
@@ -721,7 +721,7 @@ class AsyncProxy:
         if self.control_filter is not None and not self.control_filter(
             payload, addr, kind
         ):
-            self.obs.inc("drops", reason=f"chaos-{kind}")
+            self.obs.counter("drops", reason=f"chaos-{kind}").inc()
             return False
         if self._control is None:
             return False
@@ -740,7 +740,7 @@ class AsyncProxy:
             self._account_pop(len(data))
             touched.append(conn)
             if conn.closed or conn.client_writer.is_closing():
-                self.obs.inc("drops", reason="conn-closed")
+                self.obs.counter("drops", reason="conn-closed").inc()
                 continue
             conn.client_writer.write(data)
             try:
@@ -757,12 +757,11 @@ class AsyncProxy:
             sent += len(data)
             state.bytes_sent += len(data)
         state.bursts += 1
-        self.obs.inc("proxy.bursts", client=state.client_id)
-        self.obs.inc("proxy.burst_bytes", sent, client=state.client_id)
-        self.obs.gauge_set(
-            "runtime.queue_peak_bytes", state.peak_pending,
-            client=state.client_id,
-        )
+        self.obs.counter("proxy.bursts", client=state.client_id).inc()
+        self.obs.counter("proxy.burst_bytes", client=state.client_id).inc(sent)
+        self.obs.gauge(
+            "runtime.queue_peak_bytes", client=state.client_id
+        ).set(state.peak_pending)
         for conn in touched:
             self._maybe_finish(conn)
         self._send_control(
@@ -780,7 +779,7 @@ class AsyncProxy:
         except SchedulingError:
             # Anything can reach this socket; never let garbage crash
             # the control plane.
-            self.obs.inc("drops", reason="bad-control")
+            self.obs.counter("drops", reason="bad-control").inc()
             return
         state = self._clients.get(client_id)
         if state is not None:

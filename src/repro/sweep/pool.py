@@ -82,11 +82,6 @@ class WarmPool:
 
     # -- lifecycle ---------------------------------------------------------
 
-    @property
-    def alive(self) -> bool:
-        """True while an executor exists (workers spawned, not shut down)."""
-        return self._executor is not None
-
     def shutdown(self) -> None:
         """Terminate the workers (the next submit re-spawns them)."""
         if self._executor is not None:

@@ -89,13 +89,13 @@ def _experiment(config: Any) -> Any:
 
     A swept experiment records nothing it does not return: the result's
     ``config`` says ``obs_mode="off"``, so it carries the shared
-    ``NULL_RECORDER`` and no metrics snapshot. Its reports, summaries
-    and counters are what the config reports in its own mode, since no
-    obs mode changes them; ``repro run`` and ``repro trace`` call
-    ``run_experiment`` directly when a trace or metrics export is
-    wanted. The runner is looked up on its module at call time, so a
-    wrapper installed there (a profiler's, a test's) sees every swept
-    run.
+    ``NULL_RECORDER``, which holds no events, spans or metrics. Its
+    reports, summaries and counters are what the config reports in its
+    own mode, since no obs mode changes them; ``repro run`` and ``repro
+    trace`` call ``run_experiment`` directly when a trace or metrics
+    export is wanted. The runner is looked up on its module at call
+    time, so a wrapper installed there (a profiler's, a test's) sees
+    every swept run.
     """
     from repro.experiments import runner
 

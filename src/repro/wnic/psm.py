@@ -60,7 +60,9 @@ class PsmAccessPoint(AccessPoint):
             if wnic is not None and not wnic.is_awake:
                 self.frames_buffered += 1
                 self._buffers[packet.dst.ip].append(packet)
-                self.obs.inc("psm.frames_buffered", station=packet.dst.ip)
+                self.obs.counter(
+                    "psm.frames_buffered", station=packet.dst.ip
+                ).inc()
                 return
         super().forward(in_iface, packet)
 
@@ -75,7 +77,7 @@ class PsmAccessPoint(AccessPoint):
             self.obs.event(
                 self.sim.now, "psm.beacon", ap=self.name, tim=len(tim)
             )
-            self.obs.inc("psm.beacons", ap=self.name)
+            self.obs.counter("psm.beacons", ap=self.name).inc()
             for ip in tim:
                 self._flush_station(ip)
 

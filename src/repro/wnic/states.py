@@ -58,8 +58,8 @@ class Wnic:
             (clock.now, self._state)
         ]
         self.wake_count = 0
-        #: Per target state, the ``wnic.transitions`` counter handle,
-        #: resolved on first use (see Recorder.resolve_*).
+        #: Per target state, the ``wnic.transitions`` counter, kept from
+        #: first use.
         self._transition_counters: dict[str, Any] = {}
 
     @property
@@ -103,7 +103,7 @@ class Wnic:
         counter = self._transition_counters.get(to_state)
         if counter is None:
             counter = self._transition_counters[to_state] = (
-                obs.resolve_counter(
+                obs.counter(
                     "wnic.transitions", owner=self.owner, to_state=to_state
                 )
             )

@@ -12,4 +12,4 @@ class FakeComponent:
 
     def burst(self, client: str, sent: int) -> None:
         self.obs.event(self.sim.now, "proxy.burst", client=client, sent=sent)
-        self.obs.inc("proxy.bursts", client=client)
+        self.obs.counter("proxy.bursts", client=client).inc()

@@ -46,7 +46,10 @@ def test_initial_placement_round_robin():
     model = MobilityModel(
         sim, None, 2, IPS, RngStreams(seed=0), on_roam=lambda *a: None
     )
-    assert [model.cell_of(ip) for ip in IPS] == [0, 1, 0]
+    residency = model.residency()
+    assert [residency[ip] for ip in IPS] == [
+        ((0.0, "c0"),), ((0.0, "c1"),), ((0.0, "c0"),),
+    ]
 
 
 def test_disabled_plan_creates_no_streams():

@@ -40,11 +40,3 @@ class TestCampusTopology:
     def test_rejects_mobility_without_cells(self):
         with pytest.raises(ConfigurationError):
             CampusTopology(n_cells=1, mobility=MobilityPlan(roam_rate=0.5))
-
-    def test_trivial(self):
-        assert CampusTopology().trivial
-        assert CampusTopology(n_cells=1, mobility=MobilityPlan()).trivial
-        assert not CampusTopology(n_cells=2).trivial
-        assert not CampusTopology(
-            n_cells=2, mobility=MobilityPlan(roam_rate=0.1)
-        ).trivial

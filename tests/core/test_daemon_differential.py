@@ -137,7 +137,7 @@ class ReferenceClient:
         )
         heard = self._heard_counter
         if heard is None:
-            heard = self._heard_counter = self.obs.resolve_counter(
+            heard = self._heard_counter = self.obs.counter(
                 "client.schedules_heard", client=self.node.ip
             )
         heard.inc()
@@ -202,7 +202,9 @@ class ReferenceClient:
                 self.obs.event(
                     self.sim.now, "client.mark-missed", client=self.node.ip,
                 )
-                self.obs.inc("client.marks_missed", client=self.node.ip)
+                self.obs.counter(
+                    "client.marks_missed", client=self.node.ip
+                ).inc()
         else:
             self.empty_bursts += 1
             self.early_wait_s += max(0.0, self.sim.now - wake_time)
@@ -255,7 +257,9 @@ class ReferenceClient:
                 self.sim.now, "client.schedule-missed",
                 client=self.node.ip, consecutive=consecutive,
             )
-            self.obs.inc("client.schedules_missed", client=self.node.ip)
+            self.obs.counter(
+                "client.schedules_missed", client=self.node.ip
+            ).inc()
             if consecutive >= self.fallback_after_misses:
                 if not self.in_fallback:
                     self.in_fallback = True
@@ -264,7 +268,9 @@ class ReferenceClient:
                         self.sim.now, "client.fallback",
                         client=self.node.ip, misses=consecutive,
                     )
-                    self.obs.inc("client.fallbacks", client=self.node.ip)
+                    self.obs.counter(
+                        "client.fallbacks", client=self.node.ip
+                    ).inc()
                 result = yield from self._await_schedule(deadline=None)
                 break
             predicted += schedule.interval
@@ -275,7 +281,7 @@ class ReferenceClient:
             self.in_fallback = False
             self.resyncs += 1
             self.obs.event(self.sim.now, "client.resync", client=self.node.ip)
-            self.obs.inc("client.resyncs", client=self.node.ip)
+            self.obs.counter("client.resyncs", client=self.node.ip).inc()
         self.miss_recovery_s += self.sim.now - recovery_start
         return result
 

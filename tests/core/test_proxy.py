@@ -177,5 +177,7 @@ class TestMemoryClaim:
             for _ in range(10):
                 sender.sendto(700, Endpoint(client_ip(i), 5004))
         scenario.sim.run(until=1.0)
-        assert scenario.proxy.buffered_bytes == 14_000
+        assert sum(
+            queue.bytes_pending for _, queue in scenario.proxy.iter_queues()
+        ) == 14_000
         assert scenario.proxy.peak_buffered_bytes == 14_000

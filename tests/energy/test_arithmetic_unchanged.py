@@ -8,7 +8,8 @@ converted its own inputs. The kernel goldens pin each client's joules
 exactly, so the shared code must give every ``EnergyBreakdown`` field
 the same float, compared with ``==``, on any input: touching and
 zero-length intervals, overlapping transmit frames, transmit time
-outside the awake time, empty lists and an empty awake set.
+outside the awake time, empty lists and an empty awake set. The
+helpers themselves are gone; ``client_breakdowns`` is the one pricing.
 """
 
 from typing import Callable, Sequence
@@ -247,14 +248,6 @@ def test_breakdowns_equal_the_oracle(awake, rx, tx, duration_s, wake_count):
         awake, rx, tx, duration_s, wake_count, WAVELAN_2_4GHZ
     )
     naive = naive_breakdown(rx, tx, duration_s, WAVELAN_2_4GHZ)
-    assert _fields(
-        model.integrate_intervals(
-            awake, rx, tx, duration_s, wake_count, WAVELAN_2_4GHZ
-        )
-    ) == _fields(aware)
-    assert _fields(
-        model.naive_breakdown(rx, tx, duration_s, WAVELAN_2_4GHZ)
-    ) == _fields(naive)
     both = model.client_breakdowns(
         awake, rx, tx, duration_s, wake_count, WAVELAN_2_4GHZ
     )
@@ -264,7 +257,12 @@ def test_breakdowns_equal_the_oracle(awake, rx, tx, duration_s, wake_count):
 @settings(max_examples=200, deadline=None)
 @given(base=awake_sets(), queries=frame_sets())
 def test_overlap_total_equals_the_oracle(base, queries):
-    assert model.overlap_total(base, queries) == overlap_total(base, queries)
+    """Receive time with no transmit airtime is the oracle's overlap of
+    the awake set and the frames."""
+    aware, _ = model.client_breakdowns(
+        base, queries, [], 12.0, 0, WAVELAN_2_4GHZ
+    )
+    assert aware.receive_s == overlap_total(base, queries)
 
 
 def test_transmit_outside_awake_time():
@@ -275,6 +273,7 @@ def test_transmit_outside_awake_time():
     rx = [(1.25, 1.75), (3.0, 3.25)]
     tx = [(0.5, 0.6), (1.5, 1.8), (1.6, 2.1), (3.25, 3.25)]
     for args in ((awake, rx, tx, 4.0, 2), ([], rx, tx, 4.0, 0)):
-        assert _fields(
-            model.integrate_intervals(*args, WAVELAN_2_4GHZ)
-        ) == _fields(integrate_intervals(*args, WAVELAN_2_4GHZ))
+        aware, _ = model.client_breakdowns(*args, WAVELAN_2_4GHZ)
+        assert _fields(aware) == _fields(
+            integrate_intervals(*args, WAVELAN_2_4GHZ)
+        )

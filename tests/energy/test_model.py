@@ -3,58 +3,72 @@
 import numpy as np
 import pytest
 
-from repro.energy.model import (
-    cumulative_time_fn,
-    integrate_intervals,
-    merge_intervals,
-    naive_breakdown,
-    overlap_total,
-)
+from repro.energy.model import client_breakdowns, merge_intervals
 from repro.errors import TraceError
 from repro.wnic.power import WAVELAN_2_4GHZ
 
 
+def _aware(awake, rx_frames, tx_frames, duration_s, wake_count):
+    """The power-aware card's breakdown."""
+    return client_breakdowns(
+        awake, rx_frames, tx_frames, duration_s, wake_count, WAVELAN_2_4GHZ
+    )[0]
+
+
+def _naive(rx_frames, tx_frames, duration_s):
+    """The naive card's breakdown: awake for the whole run."""
+    return client_breakdowns(
+        [], rx_frames, tx_frames, duration_s, 0, WAVELAN_2_4GHZ
+    )[1]
+
+
+def _overlap(base, queries):
+    """The airtime of ``queries`` a card awake over ``base`` hears."""
+    return _aware(base, queries, [], 110.0, 0).receive_s
+
+
 class TestCumulativeTime:
+    """The awake time before ``t``: what a card hears of ``[0, t)``."""
+
     def test_empty_base(self):
-        fn = cumulative_time_fn([])
-        assert fn(5.0) == 0.0
+        assert _overlap([], [(0.0, 5.0)]) == 0.0
 
     def test_single_interval(self):
-        fn = cumulative_time_fn([(1.0, 3.0)])
-        assert fn(0.5) == 0.0
-        assert fn(2.0) == pytest.approx(1.0)
-        assert fn(10.0) == pytest.approx(2.0)
+        base = [(1.0, 3.0)]
+        assert _overlap(base, [(0.0, 0.5)]) == 0.0
+        assert _overlap(base, [(0.0, 2.0)]) == pytest.approx(1.0)
+        assert _overlap(base, [(0.0, 10.0)]) == pytest.approx(2.0)
 
     def test_multiple_intervals(self):
-        fn = cumulative_time_fn([(0.0, 1.0), (2.0, 4.0)])
-        assert fn(3.0) == pytest.approx(2.0)
-        assert fn(5.0) == pytest.approx(3.0)
+        base = [(0.0, 1.0), (2.0, 4.0)]
+        assert _overlap(base, [(0.0, 3.0)]) == pytest.approx(2.0)
+        assert _overlap(base, [(0.0, 5.0)]) == pytest.approx(3.0)
 
     def test_unsorted_base_rejected(self):
         with pytest.raises(TraceError):
-            cumulative_time_fn([(2.0, 3.0), (0.0, 1.0)])
+            _overlap([(2.0, 3.0), (0.0, 1.0)], [])
 
     def test_inverted_interval_rejected(self):
         with pytest.raises(TraceError):
-            cumulative_time_fn([(3.0, 2.0)])
+            _overlap([(3.0, 2.0)], [])
 
 
 class TestOverlap:
     def test_no_overlap(self):
-        assert overlap_total([(0.0, 1.0)], [(2.0, 3.0)]) == 0.0
+        assert _overlap([(0.0, 1.0)], [(2.0, 3.0)]) == 0.0
 
     def test_partial_overlap(self):
-        assert overlap_total([(0.0, 2.0)], [(1.0, 3.0)]) == pytest.approx(1.0)
+        assert _overlap([(0.0, 2.0)], [(1.0, 3.0)]) == pytest.approx(1.0)
 
     def test_query_inside_base(self):
-        assert overlap_total([(0.0, 10.0)], [(2.0, 3.0)]) == pytest.approx(1.0)
+        assert _overlap([(0.0, 10.0)], [(2.0, 3.0)]) == pytest.approx(1.0)
 
     def test_overlapping_queries_not_double_counted(self):
-        total = overlap_total([(0.0, 10.0)], [(1.0, 3.0), (2.0, 4.0)])
+        total = _overlap([(0.0, 10.0)], [(1.0, 3.0), (2.0, 4.0)])
         assert total == pytest.approx(3.0)
 
     def test_empty_queries(self):
-        assert overlap_total([(0.0, 1.0)], []) == 0.0
+        assert _overlap([(0.0, 1.0)], []) == 0.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -77,7 +91,7 @@ class TestOverlap:
                 qline[int(s / resolution): int(e / resolution)] = True
             return (timeline & qline).sum() * resolution
 
-        assert overlap_total(base, queries) == pytest.approx(
+        assert _overlap(base, queries) == pytest.approx(
             brute(base, queries), abs=0.1
         )
 
@@ -96,50 +110,39 @@ class TestMergeIntervals:
 
 
 class TestIntegrateIntervals:
+    """The power-aware breakdown, ``client_breakdowns(...)[0]``."""
+
     def test_always_asleep(self):
-        breakdown = integrate_intervals(
-            awake=[], rx_frames=[], tx_frames=[], duration_s=100.0,
-            wake_count=0, power=WAVELAN_2_4GHZ,
-        )
+        breakdown = _aware([], [], [], 100.0, 0)
         assert breakdown.sleep_s == pytest.approx(100.0)
         assert breakdown.energy_j == pytest.approx(100.0 * 0.177)
 
     def test_always_awake_no_traffic(self):
-        breakdown = integrate_intervals(
-            awake=[(0.0, 100.0)], rx_frames=[], tx_frames=[],
-            duration_s=100.0, wake_count=0, power=WAVELAN_2_4GHZ,
-        )
+        breakdown = _aware([(0.0, 100.0)], [], [], 100.0, 0)
         assert breakdown.idle_s == pytest.approx(100.0)
         assert breakdown.energy_j == pytest.approx(100.0 * 1.319)
 
     def test_rx_only_counts_awake_overlap(self):
-        breakdown = integrate_intervals(
+        breakdown = _aware(
             awake=[(0.0, 10.0)],
             rx_frames=[(5.0, 6.0), (50.0, 51.0)],  # second is while asleep
             tx_frames=[],
             duration_s=100.0,
             wake_count=1,
-            power=WAVELAN_2_4GHZ,
         )
         assert breakdown.receive_s == pytest.approx(1.0)
         assert breakdown.idle_s == pytest.approx(9.0)
         assert breakdown.sleep_s == pytest.approx(90.0)
 
     def test_wake_penalty_added(self):
-        no_wakes = integrate_intervals(
-            awake=[], rx_frames=[], tx_frames=[], duration_s=10.0,
-            wake_count=0, power=WAVELAN_2_4GHZ,
-        )
-        with_wakes = integrate_intervals(
-            awake=[], rx_frames=[], tx_frames=[], duration_s=10.0,
-            wake_count=5, power=WAVELAN_2_4GHZ,
-        )
+        no_wakes = _aware([], [], [], 10.0, 0)
+        with_wakes = _aware([], [], [], 10.0, 5)
         assert with_wakes.energy_j - no_wakes.energy_j == pytest.approx(
             5 * WAVELAN_2_4GHZ.wake_penalty_j
         )
 
     def test_residency_sums_to_duration(self):
-        breakdown = integrate_intervals(
+        aware, naive = client_breakdowns(
             awake=[(10.0, 30.0), (50.0, 55.0)],
             rx_frames=[(12.0, 13.0)],
             tx_frames=[(14.0, 14.5)],
@@ -147,30 +150,26 @@ class TestIntegrateIntervals:
             wake_count=2,
             power=WAVELAN_2_4GHZ,
         )
-        assert breakdown.duration_s == pytest.approx(100.0)
+        assert aware.duration_s == pytest.approx(100.0)
+        assert naive.duration_s == pytest.approx(100.0)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(TraceError):
-            integrate_intervals(
-                awake=[], rx_frames=[], tx_frames=[], duration_s=-1.0,
-                wake_count=0, power=WAVELAN_2_4GHZ,
-            )
+            _aware([], [], [], -1.0, 0)
 
 
 class TestNaiveBreakdown:
+    """The naive breakdown, ``client_breakdowns(...)[1]``."""
+
     def test_naive_idles_when_not_receiving(self):
-        breakdown = naive_breakdown(
-            rx_frames=[(0.0, 10.0)], tx_frames=[], duration_s=100.0,
-            power=WAVELAN_2_4GHZ,
-        )
+        breakdown = _naive([(0.0, 10.0)], [], 100.0)
         assert breakdown.receive_s == pytest.approx(10.0)
         assert breakdown.idle_s == pytest.approx(90.0)
         assert breakdown.sleep_s == 0.0
 
     def test_naive_energy_exceeds_sleeping_client(self):
         rx = [(float(i), float(i) + 0.01) for i in range(0, 100, 10)]
-        naive = naive_breakdown(rx, [], 100.0, WAVELAN_2_4GHZ)
-        aware = integrate_intervals(
+        aware, naive = client_breakdowns(
             awake=[(float(i), float(i) + 0.02) for i in range(0, 100, 10)],
             rx_frames=rx, tx_frames=[], duration_s=100.0, wake_count=10,
             power=WAVELAN_2_4GHZ,

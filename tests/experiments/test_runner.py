@@ -70,7 +70,6 @@ class TestOneDescription:
     def test_obs_off_records_nothing(self):
         result = run_experiment(passthrough_ftp(obs_mode="off"))
         assert result.obs is NULL_RECORDER
-        assert result.metrics is None
 
 
 class TestVideoExperiments:

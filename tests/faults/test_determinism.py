@@ -86,7 +86,10 @@ class TestDeterminism:
         assert first == second
         assert a.counters.totals() == b.counters.totals()
         # the plan actually did something, so the property has teeth
-        assert a.counters.total("faults.") > 0
+        assert any(
+            count > 0 for key, count in a.counters.totals().items()
+            if key.startswith("faults.")
+        )
 
     def test_different_seed_differs(self):
         """Sanity: the serialization is sensitive enough to notice."""

@@ -130,7 +130,7 @@ def test_drop_hook_discards_packets():
         sender.sendto(100, Endpoint("10.0.0.2", 7000), seq=seq)
     sim.run()
     assert received == [0, 2, 4]
-    assert link.packets_dropped == 3
+    assert link.counters.get(link.drop_key) == 3
     assert link.packets_delivered == 3
 
 
@@ -237,7 +237,10 @@ def _replay(sends, pattern, latency, reference):
         when = tick * us(5) + (0.0 if a_to_b else us(1) / 3)
         sim.call_at(when, lambda s=src, p=packet: link.transmit(s, p))
     sim.run()
-    return deliveries, drop_calls, link.packets_delivered, link.packets_dropped
+    return (
+        deliveries, drop_calls, link.packets_delivered,
+        link.counters.get(link.drop_key),
+    )
 
 
 @settings(max_examples=300, deadline=None)

@@ -104,8 +104,7 @@ class TestSimulationProperties:
     @given(seed=st.integers(min_value=0, max_value=7))
     @settings(max_examples=5, deadline=None)
     def test_residency_gauges_sum_to_sim_duration(self, seed):
-        result = _run(seed)
-        snapshot = result.metrics
+        snapshot = _run(seed).obs.metrics.snapshot()
         gauges = {
             (g["name"], tuple(sorted(g["labels"].items()))): g["value"]
             for g in snapshot["gauges"]
@@ -130,7 +129,7 @@ class TestSimulationProperties:
     @given(seed=st.integers(min_value=0, max_value=7))
     @settings(max_examples=5, deadline=None)
     def test_every_histogram_in_a_run_balances(self, seed):
-        snapshot = _run(seed).metrics
+        snapshot = _run(seed).obs.metrics.snapshot()
         assert snapshot["histograms"], "run recorded no histograms"
         for histogram in snapshot["histograms"]:
             assert sum(histogram["counts"]) == histogram["count"]

@@ -168,4 +168,6 @@ def test_demo_savings_is_the_energy_model_on_the_wnic_log():
     energy = 3.0 * power.idle_w + 7.0 * power.sleep_w + 2 * power.wake_penalty_j
     expected = 100.0 * (1.0 - energy / (10.0 * power.idle_w))
     assert estimated_savings_pct(wnic, 10.0) == pytest.approx(expected)
+    # Bit for bit what two separate aware and naive pricings gave.
+    assert estimated_savings_pct(wnic, 10.0) == 60.566520090978
     assert estimated_savings_pct(wnic, 0.0) == 0.0

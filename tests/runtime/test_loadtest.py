@@ -70,7 +70,7 @@ class TestLoadTest:
         # Watermark honored, asserted from the obs metrics snapshot:
         # every per-client queue-peak gauge stays within high + CHUNK.
         peaks = [
-            g["value"] for g in report.metrics["gauges"]
+            g["value"] for g in recorder.metrics.snapshot()["gauges"]
             if g["name"] == "runtime.queue_peak_bytes"
         ]
         assert peaks, "expected runtime.queue_peak_bytes gauges"

@@ -55,7 +55,7 @@ def test_runtime_metric_names_match_simulator():
     sim_names = _instrument_names(sim_result.obs.metrics.snapshot())
 
     recorder = SimRecorder()
-    report = run_strict(
+    run_strict(
         run_loadtest(
             LoadTestConfig(
                 clients=3, requests_per_client=2, bytes_per_request=16_000,
@@ -64,7 +64,7 @@ def test_runtime_metric_names_match_simulator():
         ),
         timeout_s=60.0,
     )
-    runtime_names = _instrument_names(report.metrics)
+    runtime_names = _instrument_names(recorder.metrics.snapshot())
 
     assert SHARED_CORE <= runtime_names
     assert SHARED_CORE <= sim_names

@@ -55,7 +55,6 @@ class TestSharedPool:
         pool = shared_pool(2)
         assert isinstance(pool, WarmPool)
         assert pool.workers == 2
-        assert not pool.alive  # executor is lazy: no workers spawned yet
 
     def test_same_size_reuses_the_pool(self):
         assert shared_pool(2) is shared_pool(2)

@@ -154,7 +154,6 @@ def test_a_swept_result_is_the_off_mode_run(name, swept, direct_off):
     expected = direct_off[name]
     assert result.config == expected.config
     assert result.config.obs_mode == "off"
-    assert result.metrics is None
     assert result.obs is NULL_RECORDER
     assert _outputs(result) == _outputs(expected)
 
@@ -165,7 +164,7 @@ def test_a_swept_run_reports_what_a_full_run_reports(
 ):
     result = swept[0][name]
     full = direct_full[name]
-    assert full.config.obs_mode == "full" and full.metrics
+    assert full.config.obs_mode == "full" and full.obs.metrics is not None
     assert _outputs(result) == _outputs(full)
 
 
@@ -182,8 +181,8 @@ def test_the_configs_exercise_what_they_name(swept):
 
 def test_two_jobs_return_the_serial_results(swept):
     parallel = SweepEngine(jobs=2).run(_spec()).results
-    assert [(r.config, r.metrics, _outputs(r)) for r in parallel] == [
-        (r.config, r.metrics, _outputs(r))
+    assert [(r.config, r.obs, _outputs(r)) for r in parallel] == [
+        (r.config, r.obs, _outputs(r))
         for r in (swept[0][name] for name in NAMES)
     ]
 

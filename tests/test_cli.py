@@ -108,6 +108,10 @@ class TestCommands:
                 id="policy-threshold",
             ),
             pytest.param(["sweep", "--intervals", "0,100ms"], id="sweep-interval"),
+            pytest.param(
+                ["run", "--obs", "off", "--metrics-out", "metrics.json"],
+                id="metrics-out-off",
+            ),
         ],
     )
     def test_bad_client_spec_errors(self, argv, capsys):

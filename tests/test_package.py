@@ -1,5 +1,6 @@
 """Whole-package checks: the docstring's quickstart runs as written,
-and no module imports a name it never uses."""
+no module imports a name it never uses, and no call writes a metric by
+name."""
 
 import ast
 import contextlib
@@ -15,6 +16,19 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "analysis" / "corpus"
 #: ``# noqa`` alone, or with a code list that names F401.
 NOQA_F401 = re.compile(r"#\s*noqa(?!:)|#\s*noqa:[^#]*\bF401\b")
+#: The recorder's old by-name metric writers. A recorder hands out
+#: instruments (``counter``, ``gauge``, ``histogram``) instead, so a
+#: surviving call would fail only when its path runs.
+BY_NAME_WRITERS = {"inc", "gauge_set", "observe"}
+
+
+def _sources():
+    """Every module under ``src`` and ``tests``, the analysis corpus
+    excluded, as ``(path, text)``."""
+    for top in ("src", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if CORPUS not in path.parents:
+                yield path, path.read_text()
 
 
 def test_package_quickstart_runs():
@@ -102,12 +116,57 @@ def test_no_unused_imports():
     """The F401 class of the CI lint step, checked where ruff is not
     installed (it does not replace that step)."""
     found = []
-    for top in ("src", "tests"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            if path.name == "__init__.py" or CORPUS in path.parents:
-                continue
-            found += [
-                f"{path.relative_to(ROOT)}:{line} {name}"
-                for line, name in unused_imports(path.read_text())
-            ]
+    for path, source in _sources():
+        if path.name == "__init__.py":
+            continue
+        found += [
+            f"{path.relative_to(ROOT)}:{line} {name}"
+            for line, name in unused_imports(source)
+        ]
     assert not found, "imported but never used:\n" + "\n".join(found)
+
+
+def by_name_writes(source: str) -> list[int]:
+    """Lines of each ``inc``, ``gauge_set`` or ``observe`` call whose
+    first positional argument is a string literal."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in BY_NAME_WRITERS
+        and node.args
+        and (
+            isinstance(node.args[0], ast.JoinedStr)
+            or isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        )
+    ]
+
+
+def test_by_name_write_finder():
+    source = textwrap.dedent(
+        """
+        obs.inc("drops", reason="overload")
+        obs.gauge_set(f"{prefix}.depth", 3)
+        obs.counter("drops", reason="overload").inc()
+        obs.histogram("lateness_s", SECONDS_BUCKETS).observe(0.1)
+        counter.inc(2)
+        obs.observe(
+            "lateness_s", 0.1, buckets=SECONDS_BUCKETS,
+        )
+        """
+    )
+    assert by_name_writes(source) == [2, 3, 7]
+
+
+def test_no_metric_is_written_by_name():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path, source in _sources()
+        for line in by_name_writes(source)
+    ]
+    assert not found, (
+        "metric written by name; write through the instrument "
+        "Recorder.counter/gauge/histogram hands out:\n" + "\n".join(found)
+    )
