@@ -9,7 +9,6 @@ exact pipeline of the paper's §4.1.
 
 from __future__ import annotations
 
-import gc
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,6 +29,7 @@ from repro.faults import FaultPlan
 from repro.net.addr import Endpoint
 from repro.net.channel import ChannelPlan
 from repro.obs import NULL_RECORDER, Recorder
+from repro.sim.core import paused_collector
 from repro.units import mib
 from repro.wnic.power import WAVELAN_2_4GHZ
 from repro.workloads.ftp import FTP_PORT, FtpClientApp, FtpServerApp
@@ -231,12 +231,17 @@ def mixed(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment end to end and analyze it."""
-    # A scenario's nodes, interfaces and links point at each other, so
-    # only a full collection frees the previous run's; Simulator.run
-    # pauses the collector, so without this pass they would stay alive
-    # through the whole next run.
-    gc.collect()
+    """Run one experiment end to end and analyze it.
+
+    Build, simulate and analyze share one collector pause (DESIGN.md
+    §11): nothing the run builds is garbage before it returns, and the
+    pause's closing young pass frees the scenario's graph.
+    """
+    with paused_collector():
+        return _run(config)  # its frame, holding the scenario, goes first
+
+
+def _run(config: ExperimentConfig) -> ExperimentResult:
     plan = config.faults
     scenario = build_scenario(
         ScenarioConfig(

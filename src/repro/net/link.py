@@ -1,9 +1,9 @@
 """Full-duplex point-to-point links (the wired Fast Ethernet segments).
 
 Each direction serializes packets FIFO at the link rate, then delays
-them by the propagation latency. A drop hook supports loss experiments
-(the paper's Netfilter/DummyNet runs); it judges each packet when the
-packet would arrive.
+them by the propagation latency; an interface's ``channel`` is its
+outgoing direction. A drop hook for loss experiments (the paper's
+Netfilter/DummyNet runs) judges each packet when it would arrive.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class _Direction:
 
     A FIFO server at a fixed rate needs no queue, only the instant it
     falls idle: a packet's serialization ends at ``max(now, free_at) +
-    transmit_time``. ``enqueue`` computes that instant, advances
+    transmit_time``. ``transmit`` computes that instant, advances
     ``free_at`` to it and schedules the delivery ``latency`` later, so
     each packet costs one heap push. The drop hook runs in the delivery
     callback (DESIGN.md §11 gives the equivalence argument).
@@ -41,7 +41,8 @@ class _Direction:
         #: serializing.
         self.free_at = 0.0
 
-    def enqueue(self, packet: Packet) -> None:
+    def transmit(self, src_iface: Interface, packet: Packet) -> None:
+        """Send ``packet`` from ``src_iface``, this direction's sender."""
         link = self.link
         sim = link.sim
         now = sim.now
@@ -58,7 +59,7 @@ class _Direction:
             link.counters.incr(link.drop_key)
             return
         link.packets_delivered += 1
-        self.dst_iface.deliver(packet)
+        self.dst_iface.node.on_receive(self.dst_iface, packet)
 
 
 class Link:
@@ -95,7 +96,6 @@ class Link:
         self.drop_key = drop_key
         self.packets_delivered = 0
         self._ifaces: Optional[tuple[Interface, Interface]] = None
-        self._directions: dict[Interface, _Direction] = {}
 
     def attach(self, iface_a: Interface, iface_b: Interface) -> "Link":
         """Connect the two endpoints of this link.
@@ -110,15 +110,7 @@ class Link:
         for iface in (iface_a, iface_b):
             if iface.channel is not None:
                 raise NetworkError(f"{iface!r} is already attached to a channel")
-        iface_a.channel = iface_b.channel = self
+        iface_a.channel = _Direction(self, iface_b)
+        iface_b.channel = _Direction(self, iface_a)
         self._ifaces = (iface_a, iface_b)
-        self._directions[iface_a] = _Direction(self, iface_b)
-        self._directions[iface_b] = _Direction(self, iface_a)
         return self
-
-    def transmit(self, src_iface: Interface, packet: Packet) -> None:
-        """Send ``packet`` from ``src_iface`` toward the other endpoint."""
-        direction = self._directions.get(src_iface)
-        if direction is None:
-            raise NetworkError(f"{src_iface!r} is not an endpoint of this link")
-        direction.enqueue(packet)

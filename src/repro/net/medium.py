@@ -317,7 +317,7 @@ class WirelessMedium:
             if iface is src_iface:
                 continue
             if promiscuous:
-                iface.deliver(packet)
+                iface.node.on_receive(iface, packet)
                 continue
             # Every other receiver is addressed: a broadcast reaches
             # all stations, a unicast frame only those bound to its
@@ -335,7 +335,7 @@ class WirelessMedium:
                 and self.channel.rx_blocked(end, iface.node.ip)
             )
             if not out_of_range and not faded and iface.can_receive(packet):
-                iface.deliver(packet)
+                iface.node.on_receive(iface, packet)
             else:
                 if out_of_range:
                     cause = "churn"
@@ -360,7 +360,7 @@ class WirelessMedium:
             return
         # Not a wireless station's address: hand it up to the gateway (AP).
         if self._gateway is not None and self._gateway is not src_iface:
-            self._gateway.deliver(packet)
+            self._gateway.node.on_receive(self._gateway, packet)
 
     def _record_miss(
         self, end: float, packet: Packet, dst_ip: str, cause: str,

@@ -28,9 +28,9 @@ Tap = Callable[[Packet, "Interface"], bool]
 class Interface:
     """A network attachment point of a node.
 
-    The ``channel`` attribute is set when the interface is attached to a
-    :class:`~repro.net.link.Link` or
-    :class:`~repro.net.medium.WirelessMedium`.
+    :meth:`send` hands a packet to ``channel``, set on attach: the
+    interface's outgoing direction of a :class:`~repro.net.link.Link`,
+    or a :class:`~repro.net.medium.WirelessMedium`.
     """
 
     def __init__(self, node: "Node", name: str) -> None:
@@ -59,10 +59,6 @@ class Interface:
         if self.rx_gate is not None and not self.rx_gate(packet):
             return False
         return True
-
-    def deliver(self, packet: Packet) -> None:
-        """Called by the channel when a frame arrives at this interface."""
-        self.node.on_receive(self, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Interface {self.node.name}/{self.name}>"

@@ -25,8 +25,7 @@ deliberately flat:
 * :class:`Timeout` initializes its slots and pushes onto the heap
   directly rather than chaining through ``Event.__init__``;
 * :meth:`Simulator.run` pauses the cyclic garbage collector, which
-  would otherwise walk every object the run keeps alive again and
-  again and free nothing.
+  would walk every object the run keeps and free nothing.
 
 Every shortcut preserves the enqueue *order* (one heap push per
 scheduling action, in the same program order), which is what keeps
@@ -37,8 +36,9 @@ contract pinned by ``tests/sim/test_kernel_equivalence.py``.
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import SimulationError
 
@@ -46,6 +46,24 @@ from repro.errors import SimulationError
 #: sentinel rather than ``None``: ``call_later1(d, fn, None)`` must
 #: still call ``fn(None)``.
 _NO_ARG = object()
+
+
+@contextmanager
+def paused_collector() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the ``with`` body.
+
+    If it was on at entry, it is switched back on at exit and makes one
+    young pass, over what the body allocated; a caller that switched it
+    off (an enclosing pause, say) gets it back off, with no pass.
+    """
+    collector_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collector_on:
+            gc.enable()
+            gc.collect(0)
 
 
 class Event:
@@ -335,17 +353,10 @@ class Simulator:
         When ``until`` is given, simulated time is advanced to exactly
         ``until`` even if no event falls on that instant.
 
-        The cyclic garbage collector is paused while the loop runs: a
-        run makes no reference cycles, so a pass during it would walk
-        the objects the run keeps and free nothing. If the collector
-        was on at entry, it is switched back on and makes one
-        young-generation pass on return, so the work the run deferred
-        is paid here and not at the caller's next allocation. A caller
-        that switched it off gets it back off, with no pass.
+        The loop runs under :func:`paused_collector`: it makes no
+        reference cycles, so a collection during it would free nothing.
         """
-        collector_on = gc.isenabled()
-        gc.disable()
-        try:
+        with paused_collector():
             # The loop body is step() inlined: at >1M events per sweep
             # the method dispatch and repeated attribute loads are
             # measurable.
@@ -370,7 +381,3 @@ class Simulator:
                 else:
                     fn(arg)
             self._now = until
-        finally:
-            if collector_on:
-                gc.enable()
-                gc.collect(0)

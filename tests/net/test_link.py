@@ -62,11 +62,16 @@ def test_attach_to_itself_rejected():
 
 
 def test_transmit_from_foreign_interface_rejected():
+    # A link is reached only through the channel of an interface it
+    # attached: a stranger's interface has none, so its send is refused
+    # and the link carries nothing.
     sim, a, b, link = wire_pair()
     stranger = Node(sim, "x", "10.9.9.9").add_interface("eth0")
     packet = Packet("udp", Endpoint("10.9.9.9", 1), Endpoint("10.0.0.1", 2))
     with pytest.raises(NetworkError):
-        link.transmit(stranger, packet)
+        stranger.send(packet)
+    sim.run()
+    assert link.packets_delivered == 0
 
 
 def test_delivery_time_is_serialization_plus_latency():
@@ -141,8 +146,7 @@ def test_each_packet_costs_one_heap_push():
     src = a.interfaces["eth0"]
     before = sim._seq
     for seq in range(10):
-        link.transmit(
-            src,
+        src.send(
             Packet("udp", Endpoint("10.0.0.1", 5000),
                    Endpoint("10.0.0.2", 7000), 1000, seq=seq),
         )
@@ -166,7 +170,7 @@ class _ThreePushDirection:
         self.busy = False
         self._in_flight = None
 
-    def enqueue(self, packet):
+    def transmit(self, src_iface, packet):
         self.queue.append(packet)
         if not self.busy:
             self.busy = True
@@ -192,20 +196,25 @@ class _ThreePushDirection:
             self._next()
             return
         link.packets_delivered += 1
-        link.sim.call_later1(link.latency, self.dst_iface.deliver, packet)
+        link.sim.call_later1(link.latency, self._arrive, packet)
         self._next()
+
+    def _arrive(self, packet):
+        self.dst_iface.node.on_receive(self.dst_iface, packet)
 
 
 class _Tap:
-    """A link endpoint that logs (time, endpoint, packet seq) arrivals."""
+    """A link endpoint, its own node, that logs (time, endpoint, packet
+    seq) arrivals."""
 
     def __init__(self, sim, name, log):
         self.sim = sim
         self.name = name
         self.log = log
         self.channel = None
+        self.node = self
 
-    def deliver(self, packet):
+    def on_receive(self, iface, packet):
         self.log.append((self.sim.now, self.name, packet.seq))
 
 
@@ -224,9 +233,8 @@ def _replay(sends, pattern, latency, reference):
     a, b = _Tap(sim, "b<-a", deliveries), _Tap(sim, "a<-b", deliveries)
     link.attach(a, b)
     if reference:
-        link._directions = {
-            a: _ThreePushDirection(link, b), b: _ThreePushDirection(link, a),
-        }
+        a.channel = _ThreePushDirection(link, b)
+        b.channel = _ThreePushDirection(link, a)
     for seq, (tick, a_to_b, payload) in enumerate(sends):
         src = a if a_to_b else b
         packet = Packet("udp", Endpoint("10.0.0.1", 1),
@@ -235,7 +243,7 @@ def _replay(sends, pattern, latency, reference):
         # grid; at 0.08 µs per wire byte no sum of serialization times
         # brings the two directions to one instant.
         when = tick * us(5) + (0.0 if a_to_b else us(1) / 3)
-        sim.call_at(when, lambda s=src, p=packet: link.transmit(s, p))
+        sim.call_at(when, lambda s=src, p=packet: s.channel.transmit(s, p))
     sim.run()
     return (
         deliveries, drop_calls, link.packets_delivered,

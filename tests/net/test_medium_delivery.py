@@ -67,13 +67,13 @@ class _Cell:
         self.attach(self.gateway, gateway=True)
 
     def _iface(self, name: str, ip: str) -> Interface:
-        iface = Node(self.sim, name, ip).add_interface("wl0")
-        iface.deliver = (
-            lambda packet, name=name: self.log.append(
+        node = Node(self.sim, name, ip)
+        node.on_receive = (
+            lambda iface, packet, name=name: self.log.append(
                 ("deliver", name, packet.packet_id)
             )
         )
-        return iface
+        return node.add_interface("wl0")
 
     # -- topology, applied to the medium and the model alike ------------
 
@@ -218,13 +218,13 @@ def test_unicast_frame_touches_only_addressee_and_monitor():
     monitor_node = Node(sim, "monitor", "0.0.0.0")
     monitor = _CountingInterface(monitor_node, "wl0")
     monitor.promiscuous = True
-    monitor.deliver = lambda packet: None
+    monitor_node.on_receive = lambda iface, packet: None
     medium.attach(monitor)
     stations = []
     for index in range(50):
         node = Node(sim, f"c{index}", f"10.0.1.{index + 1}")
+        node.on_receive = lambda iface, packet: None
         iface = _CountingInterface(node, "wl0")
-        iface.deliver = lambda packet: None
         medium.attach(iface)
         stations.append(iface)
     addressee = stations[17]

@@ -1,17 +1,25 @@
-"""A simulated run makes no reference cycles.
+"""A run pays the cyclic collector once, over what it made.
 
-``Simulator.run`` pauses the cyclic garbage collector and gives it one
-young-generation pass on return. That is only free of cost in memory if
-everything a run discards is freed by reference counting: a cycle made
-during the run would stay alive until the next full collection, and
-with every run paused, runs would stack up in memory.
+``run_experiment`` pauses the cyclic garbage collector for the whole
+run: build, simulate and analyze. If the collector was on at entry, it
+is switched back on after the run has returned and makes one
+young-generation pass. Nothing was collected during the run, so that
+pass walks only what the run made, and it frees the scenario, whose
+nodes, interfaces and links point at each other.
 
-The probe wraps ``Simulator.run``. It first collects what came before
-the run, then runs the original under ``gc.DEBUG_SAVEALL`` and collects
-once more on return. Under that flag every object a collection finds
-unreachable is kept in ``gc.garbage`` instead of freed, including what
-the run's own young pass finds, so the list holds exactly the cycles
-the run made.
+The pause costs no memory only if a run makes no reference cycles: a
+cycle made while the collector is paused stays alive until the closing
+pass. The cycle probe wraps ``Simulator.run``. It first collects what
+came before the run, then runs the original under
+``gc.DEBUG_SAVEALL`` and collects once more on return. Under that flag
+every object a collection finds unreachable is kept in ``gc.garbage``
+instead of freed, so the list holds exactly the cycles the run made.
+
+The other tests pin the contract: one generation-0 collection per run,
+after the analysis; the run's simulator freed the moment
+``run_experiment`` returns, in every obs mode; no collection for a
+caller that switched the collector off; and the collector's state
+restored when a run raises.
 """
 
 import gc
@@ -21,8 +29,10 @@ from collections import Counter
 import pytest
 
 from repro.campus import CampusTopology, HandoffSpec, MobilityPlan
-from repro.experiments import runner
+from repro.energy.analyzer import EnergyAnalyzer
+from repro.errors import ConfigurationError
 from repro.experiments.runner import ClientSpec, ExperimentConfig, run_experiment
+from repro.obs import OBS_MODES
 from repro.sim.core import Simulator
 from tests.sim.test_kernel_equivalence import SCENARIOS
 
@@ -69,6 +79,49 @@ def cycles_per_run(monkeypatch):
     return found
 
 
+@pytest.fixture
+def timeline(monkeypatch):
+    """Yields the list that gets, in order, ``("collect", generation)``
+    for each collection the collector starts and ``"analyze"`` for each
+    client report the energy analyzer prices."""
+    log: list = []
+    original = EnergyAnalyzer.analyze
+
+    def analyze(analyzer, *args, **kwargs):
+        log.append("analyze")
+        return original(analyzer, *args, **kwargs)
+
+    def probe(phase, info):
+        if phase == "start":
+            log.append(("collect", info["generation"]))
+
+    monkeypatch.setattr(EnergyAnalyzer, "analyze", analyze)
+    gc.callbacks.append(probe)
+    try:
+        yield log
+    finally:
+        gc.callbacks.remove(probe)
+
+
+@pytest.fixture
+def simulators(monkeypatch):
+    """Wraps ``Simulator.run``; yields the list that gets a weak
+    reference to each simulator run."""
+    original = Simulator.run
+    refs: list[weakref.ref] = []
+
+    def run(sim, until=None):
+        refs.append(weakref.ref(sim))
+        original(sim, until)
+
+    monkeypatch.setattr(Simulator, "run", run)
+    return refs
+
+
+def _collections(log: list) -> list:
+    return [entry for entry in log if entry != "analyze"]
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_a_run_leaves_no_reference_cycles(name, cycles_per_run):
     result = run_experiment(CONFIGS[name]())
@@ -83,22 +136,60 @@ def test_a_run_leaves_no_reference_cycles(name, cycles_per_run):
         assert result.handoff_bytes_transferred > 0
 
 
-def test_the_previous_run_is_freed_before_the_next_is_built(monkeypatch):
-    """A scenario's nodes, interfaces and links point at each other (and
-    at its simulator), so only a full collection frees a finished run;
-    ``run_experiment`` makes one before it builds the next scenario, so
-    that runs do not stack up in memory while the collector is paused."""
-    original = runner.build_scenario
-    built: list[weakref.ref] = []
-    alive_at_build: list[bool] = []
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_a_run_collects_once_young_after_the_analysis(name, timeline):
+    assert gc.isenabled()
+    config = CONFIGS[name]()
+    gc.collect()
+    del timeline[:]
+    run_experiment(config)
+    log = list(timeline)
+    assert "analyze" in log
+    assert _collections(log) == [("collect", 0)], log
+    assert log[-1] == ("collect", 0)
 
-    def build_scenario(config):
-        alive_at_build.append(any(ref() is not None for ref in built))
-        scenario = original(config)
-        built.append(weakref.ref(scenario.sim))
-        return scenario
 
-    monkeypatch.setattr(runner, "build_scenario", build_scenario)
-    run_experiment(SCENARIOS["static"]())
-    run_experiment(SCENARIOS["static"]())
-    assert alive_at_build == [False, False]
+@pytest.mark.parametrize("obs_mode", sorted(OBS_MODES))
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_the_run_is_freed_when_run_experiment_returns(
+    name, obs_mode, simulators
+):
+    config = CONFIGS[name]()
+    config.obs_mode = obs_mode
+    result = run_experiment(config)
+    [ref] = simulators
+    # The result, still held here, keeps nothing of the scenario alive.
+    assert result.reports
+    assert ref() is None, f"{name}/{obs_mode}: the simulator outlived its run"
+
+
+def test_a_caller_that_turned_the_collector_off_gets_no_pass(timeline):
+    config = SCENARIOS["static"]()
+    gc.disable()
+    try:
+        run_experiment(config)
+        left_on = gc.isenabled()
+        log = list(timeline)
+    finally:
+        gc.enable()
+    assert not left_on
+    assert "analyze" in log
+    assert _collections(log) == []
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+def test_a_run_that_raises_leaves_the_collector_as_it_found_it(collector_on):
+    # Three cells need at least three clients; the build refuses two.
+    config = ExperimentConfig(
+        clients=[ClientSpec("video")] * 2,
+        campus=CampusTopology(n_cells=3),
+    )
+    if not collector_on:
+        gc.disable()
+    try:
+        with pytest.raises(ConfigurationError, match="cells"):
+            run_experiment(config)
+        state = gc.isenabled()
+    finally:
+        gc.enable()
+    assert state is collector_on
